@@ -57,14 +57,18 @@ std::size_t ClientDevice::attach_server(net::Endpoint& endpoint) {
   return servers_.size() - 1;
 }
 
-std::vector<nn::ModelFile> ClientDevice::files_to_send() const {
+std::span<const nn::ModelFile> ClientDevice::files_to_send(
+    std::vector<nn::ModelFile>& rear) const {
   // An adaptive controller may re-cut shallower than the click-time cut,
   // so the server needs the full weights (auto_partition's convention).
-  if (controller_active()) return nn::model_files(*bundle_.network);
-  if (config_.presend_rear_only && config_.partition_cut != SIZE_MAX) {
-    return nn::model_files_rear_only(*bundle_.network, config_.partition_cut);
+  // The full bundle is the one encoded into the local store at
+  // construction: weights are serialized once per session.
+  if (!controller_active() && config_.presend_rear_only &&
+      config_.partition_cut != SIZE_MAX) {
+    rear = nn::model_files_rear_only(*bundle_.network, config_.partition_cut);
+    return rear;
   }
-  return nn::model_files(*bundle_.network);
+  return local_store_->files();
 }
 
 void ClientDevice::send_model_files(bool count_as_presend) {
@@ -75,12 +79,11 @@ void ClientDevice::send_model_files(bool count_as_presend) {
   }
   model_sent() = true;
   awaiting_ack_ = true;
-  ModelFilesPayload payload;
-  payload.files = files_to_send();
+  std::vector<nn::ModelFile> rear;
   net::Message msg;
   msg.type = net::MessageType::kModelFiles;
   msg.name = bundle_.name;
-  msg.payload = payload.encode();
+  msg.payload = ModelFilesPayload::encode_files(files_to_send(rear));
   timeline_.model_upload_bytes = msg.payload.size();
   if (count_as_presend) timeline_.model_upload_started = sim_.now();
   if (obs_) {
@@ -104,7 +107,8 @@ void ClientDevice::send_model_offer(bool count_as_presend) {
   model_sent() = true;
   awaiting_ack_ = true;
   ModelOfferPayload payload;
-  for (const auto& f : files_to_send()) {
+  std::vector<nn::ModelFile> rear;
+  for (const auto& f : files_to_send(rear)) {
     payload.files.push_back(
         {f.name, util::fnv1a(std::span(f.content)), f.size()});
   }
@@ -131,10 +135,11 @@ void ClientDevice::send_requested_files(const FileListPayload& request) {
   // files it asked for. The ACK still arrives through the normal
   // post-store path, so the pre-send span stays open until then.
   ModelFilesPayload payload;
-  for (auto& f : files_to_send()) {
+  std::vector<nn::ModelFile> rear;
+  for (const auto& f : files_to_send(rear)) {
     for (const auto& name : request.names) {
       if (f.name == name) {
-        payload.files.push_back(std::move(f));
+        payload.files.push_back(f);
         break;
       }
     }
@@ -156,8 +161,9 @@ void ClientDevice::send_overlay() {
   // files, so installation doubles as pre-sending.
   vmsynth::VmImage base = vmsynth::make_base_image();
   std::vector<std::pair<std::string, util::Bytes>> model_files;
-  for (auto& f : files_to_send()) {
-    model_files.emplace_back(f.name, std::move(f.content));
+  std::vector<nn::ModelFile> rear;
+  for (const auto& f : files_to_send(rear)) {
+    model_files.emplace_back(f.name, f.content);
   }
   vmsynth::VmImage customized = vmsynth::make_customized_image(
       base, config_.overlay_sizes, model_files);

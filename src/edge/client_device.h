@@ -230,7 +230,10 @@ class ClientDevice {
   /// First (non-retry) send of the held in-flight snapshot: used when a
   /// dedup pre-send resolves and the snapshot that waited on it goes out.
   void dispatch_inflight_snapshot();
-  std::vector<nn::ModelFile> files_to_send() const;
+  /// The pre-send bundle: the full files held in the local store, or a
+  /// rear-only bundle encoded into `rear` (which the result then views).
+  std::span<const nn::ModelFile> files_to_send(
+      std::vector<nn::ModelFile>& rear) const;
   std::size_t pick_partition_cut();
 
   // --- Partition controller (all no-ops under the static policy) ---

@@ -3,7 +3,6 @@
 #include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
 #include "src/nn/kernels.h"
-#include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -13,8 +12,7 @@ EdgeServer::EdgeServer(sim::Simulation& sim, net::Endpoint& endpoint,
                        EdgeServerConfig config)
     : sim_(sim),
       config_(std::move(config)),
-      store_(std::make_shared<ModelStore>()),
-      base_image_(vmsynth::make_base_image()) {
+      store_(std::make_shared<ModelStore>()) {
   scheduler_ = make_scheduler();
   attach(endpoint);
 }
@@ -157,8 +155,9 @@ void EdgeServer::handle_model_files(net::Endpoint& from,
   for (auto& f : payload.files) {
     bytes += f.size();
     // Every uploaded file also lands in the content-addressed cache, so a
-    // later client offering the same digests skips the body entirely.
-    blob_store_.put(util::fnv1a(std::span(f.content)), f.content);
+    // later client offering the same digests skips the body entirely. The
+    // store hashes it only once an offer asks.
+    blob_store_.put(f.content);
   }
   store_->store_files(std::move(payload.files));
   ++stats_.models_stored;
@@ -516,8 +515,11 @@ std::optional<EdgeServer::MigratableJob> EdgeServer::steal_job(
 
 void EdgeServer::handle_overlay(net::Endpoint& from,
                                 const net::Message& message) {
+  // The base image is ~21 MB of synthetic content that only the overlay
+  // path reads, so it is built on the first overlay, not per server.
+  if (!base_image_) base_image_ = vmsynth::make_base_image();
   vmsynth::VmImage image =
-      vmsynth::synthesize(base_image_, std::span(message.payload));
+      vmsynth::synthesize(*base_image_, std::span(message.payload));
 
   // Pull any model files shipped inside the overlay into the store — this
   // doubles as pre-sending (Section III.B.3).

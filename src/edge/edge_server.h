@@ -196,7 +196,7 @@ class EdgeServer {
     int model_offers = 0;         ///< kModelOffer pre-sends received
     int dedup_hit_files = 0;      ///< offered files served from the cache
     int dedup_miss_files = 0;     ///< offered files requested in full
-    int dedup_corrupt_blobs = 0;  ///< cached blobs failing their CRC check
+    int dedup_corrupt_blobs = 0;  ///< cached blobs failing their digest check
     std::uint64_t dedup_bytes_saved = 0;  ///< upload bytes skipped via cache
     double vm_synthesis_compute_s = 0;
   };
@@ -259,7 +259,7 @@ class EdgeServer {
   std::map<std::uint64_t, MigratableJob> migratable_;
   std::function<bool(EscalationRequest)> escalate_;
   std::function<void()> on_admit_;
-  vmsynth::VmImage base_image_;
+  std::optional<vmsynth::VmImage> base_image_;  ///< built on first overlay
   std::optional<vmsynth::VmImage> synthesized_;
   bool down_ = false;
   sim::SimTime stall_until_;

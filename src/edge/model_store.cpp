@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "src/util/crc32.h"
+#include "src/util/hash.h"
 
 namespace offload::edge {
 
@@ -74,37 +74,67 @@ std::shared_ptr<nn::Network> ModelStore::instantiate(
   return net;
 }
 
-void BlobStore::put(std::uint64_t digest, const util::Bytes& content) {
-  Blob blob;
-  blob.content = content;
-  blob.crc = util::crc32(std::span(content));
-  blobs_[digest] = std::move(blob);
+void BlobStore::put(const util::Bytes& content) {
+  // Bytes already held need no second copy: a server that takes many full
+  // uploads of one model keeps one blob, as an eager index would. The
+  // equality test is a size check plus memcmp, far cheaper than the hash.
+  // A rotted cached copy compares unequal, so the fresh one replaces it.
+  for (const util::Bytes& held : pending_) {
+    if (held == content) return;
+  }
+  for (const auto& [digest, held] : blobs_) {
+    if (held == content) return;
+  }
+  pending_.push_back(content);
+}
+
+void BlobStore::index_pending() const {
+  for (util::Bytes& content : pending_) {
+    blobs_[util::fnv1a(std::span(content))] = std::move(content);
+  }
+  pending_.clear();
 }
 
 const util::Bytes* BlobStore::find(std::uint64_t digest, bool* corrupt) {
   if (corrupt) *corrupt = false;
+  index_pending();
   auto it = blobs_.find(digest);
   if (it == blobs_.end()) return nullptr;
-  if (util::crc32(std::span(it->second.content)) != it->second.crc) {
+  if (util::fnv1a(std::span(it->second)) != digest) {
     blobs_.erase(it);
     if (corrupt) *corrupt = true;
     return nullptr;
   }
-  return &it->second.content;
+  return &it->second;
 }
 
-void BlobStore::clear() { blobs_.clear(); }
+bool BlobStore::contains(std::uint64_t digest) const {
+  index_pending();
+  return blobs_.find(digest) != blobs_.end();
+}
+
+void BlobStore::clear() {
+  pending_.clear();
+  blobs_.clear();
+}
+
+std::size_t BlobStore::blob_count() const {
+  index_pending();
+  return blobs_.size();
+}
 
 std::uint64_t BlobStore::total_bytes() const {
+  index_pending();
   std::uint64_t n = 0;
-  for (const auto& [digest, blob] : blobs_) n += blob.content.size();
+  for (const auto& [digest, content] : blobs_) n += content.size();
   return n;
 }
 
 bool BlobStore::corrupt_blob(std::uint64_t digest) {
+  index_pending();
   auto it = blobs_.find(digest);
-  if (it == blobs_.end() || it->second.content.empty()) return false;
-  it->second.content[0] ^= 0x5a;
+  if (it == blobs_.end() || it->second.empty()) return false;
+  it->second[0] ^= 0x5a;
   return true;
 }
 

@@ -49,40 +49,51 @@ class ModelStore {
 };
 
 /// Content-addressed blob cache for pre-sent model files, keyed by the
-/// fnv1a digest the client offers. Shared by every client of one server;
-/// survives until a crash wipes it. Each blob's CRC is recorded at insert
-/// time and re-verified on lookup, so silent disk corruption downgrades to
-/// a cache miss (the client re-uploads) instead of serving a bad network.
+/// fnv1a digest of the content (the digest clients offer). Shared by every
+/// client of one server; survives until a crash wipes it.
+///
+/// The key is a content hash, so it doubles as the integrity check: find()
+/// recomputes a blob's digest and compares it with the key, and silent
+/// corruption downgrades to a cache miss (the client re-uploads) instead of
+/// serving a bad network. A one-byte flip always changes FNV-1a, since each
+/// step of the hash is a bijection of its state.
+///
+/// Digests are computed lazily. put() only queues the bytes; the first call
+/// that needs a key (find, contains, corrupt_blob, blob_count, total_bytes)
+/// hashes everything queued, in put() order. A pre-send that no digest
+/// offer ever follows never pays the serial hash pass.
 class BlobStore {
  public:
-  /// Cache `content` under `digest` (overwrites an existing entry).
-  void put(std::uint64_t digest, const util::Bytes& content);
+  /// Cache `content` under fnv1a(content) (overwrites an existing entry;
+  /// a put of bytes already held is a no-op).
+  void put(const util::Bytes& content);
 
   /// The cached bytes, or nullptr when absent. A blob whose bytes no
-  /// longer match their recorded CRC is evicted and reported through
-  /// `corrupt` (when non-null) — callers must treat it as a miss.
+  /// longer hash to its key is evicted and reported through `corrupt`
+  /// (when non-null) — callers must treat it as a miss.
   const util::Bytes* find(std::uint64_t digest, bool* corrupt = nullptr);
 
-  bool contains(std::uint64_t digest) const {
-    return blobs_.find(digest) != blobs_.end();
-  }
+  bool contains(std::uint64_t digest) const;
 
   /// Drop everything (a crash loses the cache with the process).
   void clear();
 
-  std::size_t blob_count() const { return blobs_.size(); }
+  std::size_t blob_count() const;
   std::uint64_t total_bytes() const;
 
   /// Fault/test hook: flip one byte of a cached blob so the next find()
-  /// detects the CRC mismatch. Returns false if the digest is not cached.
+  /// detects the digest mismatch. Returns false if the digest is not
+  /// cached.
   bool corrupt_blob(std::uint64_t digest);
 
  private:
-  struct Blob {
-    util::Bytes content;
-    std::uint32_t crc = 0;
-  };
-  std::unordered_map<std::uint64_t, Blob> blobs_;
+  /// Moves every queued blob into `blobs_` under its digest.
+  void index_pending() const;
+
+  // Indexing is invisible to callers (same keys, same bytes), so the const
+  // lookups may do it.
+  mutable std::vector<util::Bytes> pending_;
+  mutable std::unordered_map<std::uint64_t, util::Bytes> blobs_;
 };
 
 }  // namespace offload::edge

@@ -17,7 +17,10 @@ void verify_payload(const net::Message& message) {
   if (!payload_intact(message)) throw PayloadCorruptError(message);
 }
 
-util::Bytes ModelFilesPayload::encode() const {
+util::Bytes ModelFilesPayload::encode() const { return encode_files(files); }
+
+util::Bytes ModelFilesPayload::encode_files(
+    std::span<const nn::ModelFile> files) {
   util::BinaryWriter w;
   w.varint(files.size());
   for (const auto& f : files) {

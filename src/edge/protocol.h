@@ -33,6 +33,9 @@ struct ModelFilesPayload {
   std::vector<nn::ModelFile> files;
 
   util::Bytes encode() const;
+  /// The encoding of a payload holding `files`, without first copying
+  /// them into one.
+  static util::Bytes encode_files(std::span<const nn::ModelFile> files);
   static ModelFilesPayload decode(std::span<const std::uint8_t> data);
 };
 

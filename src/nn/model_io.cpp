@@ -192,6 +192,20 @@ util::Bytes save_weights(const Network& net, std::size_t begin,
   return std::move(w).take();
 }
 
+std::uint64_t weights_size(const Network& net, std::size_t begin,
+                           std::size_t end) {
+  end = std::min(end, net.size());
+  // Magic, version, layer count, then per layer: name, count, fp32 params.
+  std::uint64_t n = kWeightsMagic.size() + 4 + 4;
+  for (std::size_t i = begin; i < end; ++i) {
+    const Layer& layer = net.layer(i);
+    if (layer.param_count() == 0) continue;
+    n += util::varint_size(layer.name().size()) + layer.name().size() + 8 +
+         4 * layer.param_count();
+  }
+  return n;
+}
+
 void load_weights(Network& net, std::span<const std::uint8_t> blob,
                   std::size_t begin, std::size_t end) {
   end = std::min(end, net.size());

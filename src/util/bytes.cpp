@@ -14,6 +14,25 @@ void BinaryWriter::f64(double v) {
   u64(std::bit_cast<std::uint64_t>(v));
 }
 
+void BinaryWriter::f32s(std::span<const float> v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // Grow the way per-float appends would (capacity doubling), so a
+    // weights buffer ends at the same capacity as the per-element path:
+    // an exact-size buffer below glibc's mmap ceiling would land on the
+    // heap and be retained after free.
+    const std::size_t need = buf_.size() + v.size_bytes();
+    if (need > buf_.capacity()) {
+      std::size_t cap = buf_.capacity() == 0 ? 1 : buf_.capacity();
+      while (cap < need) cap *= 2;
+      buf_.reserve(cap);
+    }
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_.insert(buf_.end(), p, p + v.size_bytes());
+  } else {
+    for (float f : v) this->f32(f);
+  }
+}
+
 void BinaryWriter::varint(std::uint64_t v) {
   while (v >= 0x80) {
     buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
@@ -41,6 +60,16 @@ void BinaryWriter::raw(std::string_view data) { raw(as_bytes(data)); }
 float BinaryReader::f32() { return std::bit_cast<float>(u32()); }
 
 double BinaryReader::f64() { return std::bit_cast<double>(u64()); }
+
+void BinaryReader::f32s(std::span<float> out) {
+  auto s = take(out.size_bytes());
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());
+  } else {
+    BinaryReader le(s);
+    for (float& f : out) f = le.f32();
+  }
+}
 
 std::uint64_t BinaryReader::varint() {
   std::uint64_t v = 0;

@@ -36,6 +36,10 @@ class BinaryWriter {
   void f32(float v);
   void f64(double v);
 
+  /// Little-endian fp32 array, no length prefix: the same bytes as one
+  /// f32() per element, written as one memcpy on little-endian hosts.
+  void f32s(std::span<const float> v);
+
   /// Unsigned LEB128; compact encoding for sizes and counts.
   void varint(std::uint64_t v);
 
@@ -78,6 +82,11 @@ class BinaryReader {
   float f32();
   double f64();
 
+  /// Fills `out` with out.size() little-endian fp32 values (the inverse of
+  /// BinaryWriter::f32s). Throws DecodeError, reading nothing, if fewer
+  /// than 4 * out.size() bytes remain.
+  void f32s(std::span<float> out);
+
   std::uint64_t varint();
   std::string str();
   Bytes blob();
@@ -105,6 +114,13 @@ class BinaryReader {
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
+
+/// Bytes BinaryWriter::varint(v) appends.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 /// Convenience: view a string as bytes (no copy).
 inline std::span<const std::uint8_t> as_bytes(std::string_view s) {

@@ -7,6 +7,7 @@
 #include "src/edge/model_store.h"
 #include "src/edge/protocol.h"
 #include "src/util/crc32.h"
+#include "src/util/hash.h"
 #include "src/jsvm/snapshot.h"
 #include "src/nn/models.h"
 
@@ -74,6 +75,64 @@ TEST(ModelStoreTest, RearOnlyInstantiation) {
   EXPECT_EQ(nn::Tensor::max_abs_diff(net->forward_rear(feature, 2),
                                      rebuilt->forward_rear(feature, 2)),
             0.0f);
+}
+
+TEST(BlobStoreTest, KeysByContentDigestAndEvictsRot) {
+  BlobStore store;
+  const util::Bytes a{1, 2, 3};
+  const util::Bytes b{4, 5, 6, 7};
+  store.put(a);
+  store.put(b);
+  store.put(a);  // bytes already held: no second copy
+  EXPECT_EQ(store.blob_count(), 2u);
+  EXPECT_EQ(store.total_bytes(), 7u);
+  const std::uint64_t da = util::fnv1a(std::span(a));
+  ASSERT_NE(store.find(da), nullptr);
+  EXPECT_EQ(*store.find(da), a);
+  EXPECT_EQ(store.find(da + 1), nullptr);
+
+  ASSERT_TRUE(store.corrupt_blob(da));
+  bool corrupt = false;
+  EXPECT_EQ(store.find(da, &corrupt), nullptr);
+  EXPECT_TRUE(corrupt);  // the content no longer hashes to its key
+  EXPECT_FALSE(store.contains(da));  // evicted
+  EXPECT_FALSE(store.corrupt_blob(da));
+
+  store.clear();
+  EXPECT_EQ(store.blob_count(), 0u);
+  EXPECT_EQ(store.find(util::fnv1a(std::span(b))), nullptr);
+}
+
+TEST(BlobStoreTest, FreshUploadReplacesARottedCopy) {
+  BlobStore store;
+  const util::Bytes a{9, 8, 7, 6};
+  const std::uint64_t da = util::fnv1a(std::span(a));
+  store.put(a);
+  ASSERT_TRUE(store.corrupt_blob(da));
+  store.put(a);  // differs from the rotted copy, so it is taken
+  bool corrupt = true;
+  const util::Bytes* got = store.find(da, &corrupt);
+  ASSERT_NE(got, nullptr);
+  EXPECT_FALSE(corrupt);
+  EXPECT_EQ(*got, a);
+}
+
+TEST(BlobStoreTest, EveryOneByteFlipChangesTheDigest) {
+  // The store's rot check rests on this: each FNV-1a step (xor a byte,
+  // multiply by an odd prime) is a bijection of the 64-bit state, so two
+  // inputs differing in one byte never collide.
+  util::Bytes buf(64);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  const std::uint64_t clean = util::fnv1a(std::span(buf));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (unsigned mask = 1; mask < 256; ++mask) {
+      buf[i] ^= static_cast<std::uint8_t>(mask);
+      ASSERT_NE(util::fnv1a(std::span(buf)), clean) << i << "^" << mask;
+      buf[i] ^= static_cast<std::uint8_t>(mask);
+    }
+  }
 }
 
 TEST(BrowserHostTest, InferenceMatchesDirectExecution) {
@@ -210,6 +269,19 @@ TEST(ProtocolTest, ModelFilesPayloadRoundTrip) {
   ASSERT_EQ(d.files.size(), 2u);
   EXPECT_EQ(d.files[1].name, "m.weights");
   EXPECT_EQ(d.files[1].content, (util::Bytes{3, 4, 5}));
+}
+
+TEST(ProtocolTest, ModelFilesPayloadBytesArePinned) {
+  // Golden size and CRC of GoogLeNet's full pre-send payload: the bytes
+  // every pre-send puts on the wire, so any drift in the weights or
+  // payload encoding (and hence in modeled transfer times) fails here.
+  auto net = nn::build_googlenet();
+  ModelFilesPayload p;
+  p.files = nn::model_files(*net);
+  const util::Bytes wire = p.encode();
+  EXPECT_EQ(wire.size(), 28003653u);
+  EXPECT_EQ(util::crc32(std::span<const std::uint8_t>(wire)), 0xdef64466u);
+  EXPECT_EQ(ModelFilesPayload::encode_files(p.files), wire);
 }
 
 TEST(ProtocolTest, SnapshotPayloadRoundTrip) {

@@ -1,5 +1,5 @@
 // End-to-end tests for the edge-server fleet: content-addressed model
-// pre-send (digest offers, blob-cache hits, crash wipe, CRC-detected blob
+// pre-send (digest offers, blob-cache hits, crash wipe, digest-detected blob
 // rot) and balancer-driven request spreading across servers. Clients talk
 // to a hand-built EdgeFleet so several of them can share one simulation —
 // exactly how the OffloadingRuntime wires its single client, minus the
@@ -139,8 +139,8 @@ TEST(FleetDedup, CorruptedBlobIsEvictedAndReuploaded) {
   edge::ClientDevice& second = h.add_client("client2");
   h.run_one_inference(second);
   const edge::EdgeServer::Stats& stats = h.fleet->server(0).stats();
-  // The rotted blob failed its CRC on lookup: counted, treated as a miss
-  // (re-uploaded in full), while every healthy file still hit.
+  // The rotted blob failed its digest check on lookup: counted, treated
+  // as a miss (re-uploaded in full), while every healthy file still hit.
   EXPECT_EQ(stats.dedup_corrupt_blobs, 1);
   EXPECT_EQ(stats.dedup_hit_files, static_cast<int>(digests.size()) - 1);
   EXPECT_EQ(stats.dedup_miss_files, static_cast<int>(digests.size()) + 1);
@@ -186,8 +186,7 @@ TEST(FleetDedup, CrashDuringPresendFailsOverWithDigestSizedReoffer) {
   const std::vector<nn::ModelFile> files = nn::model_files(*warm.network);
   ASSERT_GE(files.size(), 2u);
   for (std::size_t i = 1; i < files.size(); ++i) {
-    fleet.server(1).blob_store().put(util::fnv1a(std::span(files[i].content)),
-                                     files[i].content);
+    fleet.server(1).blob_store().put(files[i].content);
   }
 
   edge::ClientConfig client_config;

@@ -15,6 +15,7 @@
 #include "src/nn/models.h"
 #include "src/nn/network.h"
 #include "src/nn/pool.h"
+#include "src/util/crc32.h"
 
 namespace offload::nn {
 namespace {
@@ -474,6 +475,49 @@ TEST(ModelIo, MalformedDescriptionThrows) {
                util::DecodeError);
   EXPECT_THROW(parse_description("model m\nlayer a conv in=1\n"),
                util::DecodeError);
+}
+
+TEST(ModelIo, WeightsBytesArePinned) {
+  // Golden size and CRC of the TinyCNN weights file: any drift in the
+  // format (layer order, framing, float byte order) fails here.
+  auto net = build_tiny_cnn(17);
+  const util::Bytes blob = save_weights(*net);
+  EXPECT_EQ(blob.size(), 583400u);
+  EXPECT_EQ(util::crc32(std::span<const std::uint8_t>(blob)), 0xf8bca8deu);
+}
+
+TEST(ModelIo, WeightsSizeMatchesEncodedSize) {
+  std::vector<std::unique_ptr<Network>> nets;
+  nets.push_back(build_tiny_cnn(17));
+  nets.push_back(build_gendernet(2));
+  for (const auto& net : nets) {
+    EXPECT_EQ(weights_size(*net), save_weights(*net).size()) << net->name();
+    for (std::size_t cut : {std::size_t{0}, std::size_t{2}, net->size() - 1}) {
+      EXPECT_EQ(weights_size(*net, cut + 1, net->size()),
+                save_weights(*net, cut + 1, net->size()).size())
+          << net->name() << " rear of " << cut;
+    }
+  }
+}
+
+TEST(ModelIo, TruncatedWeightsThrowDecodeError) {
+  auto net = build_tiny_cnn(17);
+  const util::Bytes blob = save_weights(*net);
+  auto target = parse_description(save_description(*net));
+  std::vector<std::size_t> cuts;
+  for (std::size_t n = 0; n < 64; ++n) cuts.push_back(n);
+  for (std::size_t n = 64; n < blob.size() - 64; n += 4099) cuts.push_back(n);
+  for (std::size_t n = blob.size() - 64; n < blob.size(); ++n) {
+    cuts.push_back(n);
+  }
+  for (std::size_t n : cuts) {
+    // An exact-size copy, so a read past the end is a heap overflow that
+    // the sanitizer builds catch, not a read of the rest of `blob`.
+    const util::Bytes prefix(blob.begin(), blob.begin() + n);
+    EXPECT_THROW(load_weights(*target, std::span(prefix)), util::DecodeError)
+        << "prefix of " << n << " bytes";
+  }
+  EXPECT_NO_THROW(load_weights(*target, std::span(blob)));
 }
 
 TEST(ModelIo, WeightsWrongNetworkThrows) {

@@ -14,8 +14,11 @@
 #include "src/util/strings.h"
 #include "src/util/table.h"
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <thread>
+#include <vector>
 
 namespace offload::util {
 namespace {
@@ -81,6 +84,139 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   inc.update("hello ");
   inc.update("world");
   EXPECT_EQ(inc.value(), crc32("hello world"));
+}
+
+/// Bit-at-a-time CRC-32: the definition, with no tables to get wrong.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<Crc32Kernel> available_crc_kernels() {
+  std::vector<Crc32Kernel> out;
+  for (Crc32Kernel k : {Crc32Kernel::kSliceBy8, Crc32Kernel::kPclmul}) {
+    if (crc32_kernel_available(k)) out.push_back(k);
+  }
+  return out;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+TEST(Crc32, EveryKernelMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-256 at start offsets 0-15 cross every tail and alignment
+  // path: the slice-by-8 remainder loop and the fold's 64-byte minimum,
+  // 16-byte blocks and slice-by-8 tail.
+  const Bytes buf = random_bytes(256 + 16, 1);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + off, len);
+      const std::uint32_t want = crc32_bitwise(s);
+      ASSERT_EQ(crc32(s), want) << "off=" << off << " len=" << len;
+      for (Crc32Kernel k : available_crc_kernels()) {
+        ASSERT_EQ(crc32(s, k), want) << crc32_kernel_name(k) << " off=" << off
+                                     << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32, EveryKernelMatchesBitwiseReferenceOnLargeRandomBuffers) {
+  for (std::uint64_t seed : {2, 3, 4}) {
+    const Bytes buf = random_bytes((1u << 20) + 7, seed);
+    const std::uint32_t want = crc32_bitwise(buf);
+    EXPECT_EQ(crc32(std::span<const std::uint8_t>(buf)), want);
+    for (Crc32Kernel k : available_crc_kernels()) {
+      EXPECT_EQ(crc32(buf, k), want) << crc32_kernel_name(k);
+    }
+  }
+}
+
+TEST(Crc32, UpdateSplitAtRandomPointsMatchesOneShot) {
+  const Bytes buf = random_bytes((1u << 20) + 7, 5);
+  const std::uint32_t want = crc32_bitwise(buf);
+  Pcg32 rng(6);
+  for (int trial = 0; trial < 20; ++trial) {
+    Crc32 inc;
+    std::size_t pos = 0;
+    while (pos < buf.size()) {
+      // Mostly short pieces, sometimes long ones, so splits land inside
+      // fold blocks as well as between them.
+      const std::uint32_t cap = rng.next_below(4) == 0 ? 1u << 18 : 200u;
+      const std::size_t n = std::min<std::size_t>(buf.size() - pos,
+                                                   rng.next_below(cap + 1));
+      inc.update(std::span<const std::uint8_t>(buf.data() + pos, n));
+      pos += n;
+    }
+    ASSERT_EQ(inc.value(), want) << "trial " << trial;
+  }
+}
+
+TEST(Crc32, EveryKernelGivesTheCheckValue) {
+  for (Crc32Kernel k : available_crc_kernels()) {
+    EXPECT_EQ(crc32(as_bytes("123456789"), k), 0xcbf43926u)
+        << crc32_kernel_name(k);
+  }
+  EXPECT_TRUE(crc32_kernel_available(Crc32Kernel::kSliceBy8));
+}
+
+TEST(Bytes, F32sRoundTripIsBitExactAndMatchesPerFloatBytes) {
+  const std::vector<std::uint32_t> bits = {
+      0x00000000u,  // +0.0
+      0x80000000u,  // -0.0
+      0x00000001u,  // smallest denormal
+      0x807fffffu,  // largest negative denormal
+      0x7f800000u,  // +inf
+      0xff800000u,  // -inf
+      0x7fc00000u,  // quiet NaN
+      0x7fc12345u,  // quiet NaN with a payload
+      0x7f800001u,  // signalling NaN
+      0xffbfffffu,  // negative signalling NaN, full payload
+      0x7f7fffffu,  // FLT_MAX
+      0x3f800000u,  // 1.0
+  };
+  std::vector<float> values;
+  for (std::uint32_t b : bits) values.push_back(std::bit_cast<float>(b));
+
+  BinaryWriter bulk;
+  bulk.u8(0xab);  // misalign the array within the buffer
+  bulk.f32s(values);
+  BinaryWriter each;
+  each.u8(0xab);
+  for (float v : values) each.f32(v);
+  ASSERT_EQ(bulk.bytes(), each.bytes());
+
+  BinaryReader r{std::span<const std::uint8_t>(bulk.bytes())};
+  EXPECT_EQ(r.u8(), 0xab);
+  std::vector<float> back(values.size());
+  r.f32s(back);
+  EXPECT_TRUE(r.done());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]), bits[i]) << i;
+  }
+}
+
+TEST(Bytes, F32sOverrunThrowsWithoutConsuming) {
+  BinaryWriter w;
+  w.f32s(std::vector<float>{1.0f, 2.0f});
+  Bytes data = std::move(w).take();
+  data.pop_back();  // 7 bytes: one float and a torn second
+  BinaryReader r{std::span<const std::uint8_t>(data)};
+  std::vector<float> out(2, -1.0f);
+  EXPECT_THROW(r.f32s(out), DecodeError);
+  EXPECT_EQ(r.position(), 0u);
+  EXPECT_EQ(out[0], -1.0f);  // nothing was written either
+  std::vector<float> none;
+  r.f32s(none);  // an empty array reads nothing and cannot fail
+  EXPECT_EQ(r.position(), 0u);
 }
 
 TEST(Base64, KnownVectors) {

@@ -14,11 +14,10 @@
 //
 // The static policy keeps the offline first-pool cut everywhere. The
 // drift policy multiplies the offline cost model by learned per-arm EWMA
-// corrections; the bandit treats the labeled cut points as UCB arms.
-// Every policy, schedule, and workload draw is seeded: two invocations of
-// this binary produce byte-identical BENCH_ctrl.json, and the result is
-// independent of OFFLOAD_THREADS — the CI determinism gate diffs the file
-// across runs.
+// corrections. Neither policy draws random numbers, and every schedule
+// and workload draw is seeded: two invocations of this binary produce
+// byte-identical BENCH_ctrl.json, and the result is independent of
+// OFFLOAD_THREADS — the CI determinism gate diffs the file across runs.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -86,7 +85,6 @@ PolicyResult run_policy(ctrl::PolicyKind policy, const Scenario& scenario,
   config.client.offload_event = "front_complete";
   config.client.supervisor.enabled = true;
   config.client.controller.policy = policy;
-  config.client.controller.seed = trial_seed;
   config.client.controller.ignore_env = true;
   config.click_at = core::after_ack_click_time(
       *bundle.network, false, config.client.partition_cut, kHealthyBps);
@@ -164,7 +162,7 @@ std::string fmt3(double v) { return util::format_fixed(v, 3); }
 
 int main() {
   bench::print_banner(
-      "Online partition control — static vs drift vs bandit",
+      "Online partition control — static vs drift",
       "per-click cut selection from live telemetry (measured uplink "
       "bandwidth, server queue depth and batch wait, fleet outstanding); "
       "the static row is the offline Neurosurgeon cut held for the whole "
@@ -173,8 +171,7 @@ int main() {
   const Scenario scenarios[] = {
       {"stationary"}, {"bandwidth_shift"}, {"load_wave"}};
   const ctrl::PolicyKind policies[] = {ctrl::PolicyKind::kStatic,
-                                       ctrl::PolicyKind::kDrift,
-                                       ctrl::PolicyKind::kBandit};
+                                       ctrl::PolicyKind::kDrift};
 
   std::vector<bench::JsonObject> json;
   util::TextTable table;
@@ -211,8 +208,8 @@ int main() {
   }
   std::printf("%s", table.str().c_str());
   std::printf(
-      "\nNote: on the stationary run all three rows must tie to within "
-      "noise — the adaptive policies pay nothing for their telemetry when "
+      "\nNote: on the stationary run both rows must tie to within "
+      "noise — the adaptive policy pays nothing for its telemetry when "
       "the offline model is already right. The wins come from the shifted "
       "scenarios: re-cutting to full-local (or a cheaper split) instead "
       "of pushing snapshots through a collapsed uplink or a flooded "

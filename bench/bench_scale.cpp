@@ -5,12 +5,23 @@
 // this harness answers the fleet-sizing question instead: demand comes
 // from sim::workload (open-loop Poisson sessions over a heterogeneous
 // million-client population, diurnal-shaped, with a mid-run flash crowd
-// and TTL-driven cold/warm model-cache churn), and each edge server is a
-// bounded FIFO queue with per-device-class service times plus a
-// content-addressed blob cache, routed through the real fleet::Balancer
-// policies. Every request either completes on the edge (queueing delay
-// emerges from the busy-server timeline) or is shed past the admission
-// bound to client-local fallback, exactly the semantics of the full stack.
+// and TTL-driven cold/warm model-cache churn), and each edge server is the
+// real single-lane serve::Scheduler running opaque jobs with
+// per-device-class modeled service times, plus a content-addressed blob
+// cache, routed through the real fleet::Balancer policies. A request is
+// offered to the balancer's candidates in order; it either completes on
+// the edge (queueing delay comes from the scheduler's FIFO) or, when every
+// candidate's queue is full, is shed to client-local fallback, exactly the
+// semantics of the full stack.
+//
+// A cold session first pre-sends its model to the primary candidate (the
+// whole blob, or a digest offer when that server already holds it) and
+// submits its snapshot only when the upload has landed. The lane keeps
+// serving other clients during the upload, as the real EdgeServer does.
+//
+// Correctness gate: every cell must conserve requests (completed on the
+// edge + shed == emitted) and leave every scheduler queue empty after the
+// run; otherwise the bench exits 1.
 //
 // Each cell is sharded: the client population (sim::workload range
 // shards) and the fleet are split into S causally-closed slices, each
@@ -41,6 +52,7 @@
 #include "bench/bench_common.h"
 #include "bench/json_writer.h"
 #include "src/fleet/balancer.h"
+#include "src/serve/scheduler.h"
 #include "src/sim/partition.h"
 #include "src/sim/simulation.h"
 #include "src/sim/workload.h"
@@ -62,7 +74,9 @@ struct CellConfig {
   bool dedup = true;
   double duration_s = 60;
   double per_client_session_rate = 6e-4;  ///< aggregate scales with clients
-  int max_queue = 8;                      ///< per-server admission bound
+  /// Per-server queue bound: with the job in service, at most 8
+  /// requests are outstanding on a single-lane server.
+  std::size_t max_queue = 7;
 };
 
 struct CellResult {
@@ -78,6 +92,7 @@ struct CellResult {
   double p50_s = 0, p99_s = 0, mean_s = 0;
   std::uint64_t events_fired = 0;
   double wall_ms = 0;  ///< wall clock, not part of the byte-diff payload
+  bool conserved = true;  ///< the correctness gate (see the header)
 };
 
 /// Shards per cell: one per 4 servers, capped at 8 — a pure function of
@@ -92,25 +107,24 @@ std::size_t shards_for(std::size_t fleet_size) {
   return s;
 }
 
-struct ServerState {
-  sim::SimTime busy_until;
-  std::vector<bool> has_model;
-};
-
 /// One causally-closed slice of a cell: a population shard, its fleet
 /// slice, and all mutable serving state. Touched only by events firing on
-/// the shard's home partition.
+/// the shard's home partition engine, which also runs its schedulers.
 struct Shard {
   Shard(const fleet::BalancerConfig& bc, std::size_t servers_count,
-        std::size_t classes_count)
+        std::size_t classes_count, sim::Simulation& eng,
+        const serve::SchedulerConfig& sc)
       : balancer(bc, servers_count),
-        servers(servers_count,
-                ServerState{sim::SimTime::zero(),
-                            std::vector<bool>(classes_count, false)}),
-        outstanding(servers_count, 0) {}
+        has_model(servers_count, std::vector<bool>(classes_count, false)),
+        outstanding(servers_count, 0) {
+    for (std::size_t i = 0; i < servers_count; ++i) {
+      servers.push_back(std::make_unique<serve::Scheduler>(eng, sc));
+    }
+  }
 
   fleet::Balancer balancer;
-  std::vector<ServerState> servers;
+  std::vector<std::unique_ptr<serve::Scheduler>> servers;
+  std::vector<std::vector<bool>> has_model;  ///< [server][device class]
   std::vector<int> outstanding;
   CellResult res;
   util::Samples latency;
@@ -130,9 +144,16 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
   const std::size_t shard_count = shards_for(cell.fleet_size);
   const auto classes = workload::default_device_classes();
 
+  serve::SchedulerConfig sc;
+  sc.replicas = 1;
+  sc.max_queue = cell.max_queue;
+
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
+    const int part = static_cast<int>(
+        s * static_cast<std::size_t>(partitions) / shard_count);
+    sim::Simulation& eng = psim.partition(part);
     // Fleet slice [lo, hi) for shard s — same range math as the client
     // shards, so server counts stay balanced for any (fleet, S).
     std::size_t lo = cell.fleet_size * s / shard_count;
@@ -141,14 +162,8 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
     bc.policy = cell.policy;
     bc.seed = 42 + static_cast<std::uint64_t>(s);
     shards.push_back(
-        std::make_unique<Shard>(bc, hi - lo, classes.size()));
-  }
-
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    Shard* sh = shards[s].get();
-    const int part = static_cast<int>(
-        s * static_cast<std::size_t>(partitions) / shard_count);
-    sim::Simulation& eng = psim.partition(part);
+        std::make_unique<Shard>(bc, hi - lo, classes.size(), eng, sc));
+    Shard* sh = shards.back().get();
 
     workload::Config wl;
     wl.clients = cell.clients;
@@ -174,37 +189,22 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
         [sh, &cell, &classes, &eng](const workload::Request& req) {
           CellResult& out = sh->res;
           const workload::DeviceClass& dc = classes[req.device_class];
+          ++out.requests;
           // Sessions stick to a server under consistent hashing; the
           // other policies ignore the key and use the live outstanding
           // counts. The key is the global client id, so stickiness is
           // shard-stable.
           std::vector<std::size_t> candidates = sh->balancer.route(
               "c" + std::to_string(req.client), sh->outstanding);
-          std::size_t chosen = sh->servers.size();  // sentinel: shed
-          for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if (sh->outstanding[candidates[i]] < cell.max_queue) {
-              chosen = candidates[i];
-              out.failover_hops += i;
-              break;
-            }
-          }
-          ++out.requests;
-          if (chosen == sh->servers.size()) {
-            // Shard-wide admission bound hit: typed shed, client-local
-            // fallback (the inference still completes — it just costs
-            // device time).
-            ++out.shed;
-            sh->latency.add(dc.local_fallback_s);
-            return;
-          }
-          ServerState& server = sh->servers[chosen];
-          ++sh->outstanding[chosen];
 
-          // Cold sessions pre-send the model before the snapshot can run.
+          // Cold sessions pre-send the model to the primary before the
+          // snapshot can be submitted.
           double upload_s = 0;
           if (req.cold_model) {
-            double model_bytes = dc.model_mb * 1024 * 1024;
-            if (cell.dedup && server.has_model[req.device_class]) {
+            const double model_bytes = dc.model_mb * 1024 * 1024;
+            std::vector<bool>::reference has =
+                sh->has_model[candidates.front()][req.device_class];
+            if (cell.dedup && has) {
               // Content-addressed: the digest offer answers "have", the
               // blob itself never crosses the uplink.
               upload_s = kDigestBytes * 8 / (dc.uplink_mbps * 1e6);
@@ -212,25 +212,41 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
               out.dedup_saved_mb += (model_bytes - kDigestBytes) / (1024 * 1024);
             } else {
               upload_s = model_bytes * 8 / (dc.uplink_mbps * 1e6);
-              server.has_model[req.device_class] = true;
+              has = true;
               ++out.full_uploads;
             }
           }
 
-          // FIFO single-lane server: service starts when the model is in
-          // and the lane is free; queueing delay emerges from busy_until.
-          sim::SimTime ready = req.at + sim::SimTime::seconds(upload_s);
-          sim::SimTime start =
-              server.busy_until > ready ? server.busy_until : ready;
-          sim::SimTime done =
-              start + sim::SimTime::seconds(dc.server_service_ms / 1e3);
-          server.busy_until = done;
-          sim::SimTime arrival = req.at;
-          eng.schedule_at(done, [sh, chosen, arrival, done] {
-            --sh->outstanding[chosen];
-            ++sh->res.completed_edge;
-            sh->latency.add((done - arrival).to_seconds());
-          });
+          const double service_s = dc.server_service_ms / 1e3;
+          const double fallback_s = dc.local_fallback_s;
+          const sim::SimTime arrival = req.at;
+          auto submit = [sh, candidates = std::move(candidates), service_s,
+                         fallback_s, arrival] {
+            for (std::size_t i = 0; i < candidates.size(); ++i) {
+              const std::size_t c = candidates[i];
+              serve::SubmitResult res = sh->servers[c]->submit_opaque(
+                  service_s, [sh, c, arrival](const serve::RequestTiming& t) {
+                    --sh->outstanding[c];
+                    ++sh->res.completed_edge;
+                    sh->latency.add((t.completed - arrival).to_seconds());
+                  });
+              if (res.admitted) {
+                ++sh->outstanding[c];
+                sh->res.failover_hops += i;
+                return;
+              }
+            }
+            // Every candidate's queue is full: typed shed, client-local
+            // fallback (the inference still completes — it just costs
+            // device time).
+            ++sh->res.shed;
+            sh->latency.add(fallback_s);
+          };
+          if (upload_s > 0) {
+            eng.schedule(sim::SimTime::seconds(upload_s), std::move(submit));
+          } else {
+            submit();
+          }
         });
     sh->gen->start(sim::SimTime::seconds(cell.duration_s));
   }
@@ -243,6 +259,9 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
   CellResult out;
   util::Samples latency;
   for (std::size_t s = 0; s < shard_count; ++s) {
+    for (const auto& server : shards[s]->servers) {
+      if (server->queue_depth() != 0) out.conserved = false;
+    }
     const CellResult& r = shards[s]->res;
     out.requests += r.requests;
     out.completed_edge += r.completed_edge;
@@ -255,6 +274,7 @@ CellResult run_cell(const CellConfig& cell, int partitions) {
     out.cold_sessions += shards[s]->gen->cold_sessions();
     latency.merge(shards[s]->latency);
   }
+  if (out.requests != out.completed_edge + out.shed) out.conserved = false;
   out.events_fired = fired;
   out.wall_ms = t1 - t0;
   if (latency.count() > 0) {
@@ -298,6 +318,7 @@ int main() {
 
   std::uint64_t total_events = 0;
   double total_wall_ms = 0;
+  bool conserved = true;
   for (std::uint64_t clients : {std::uint64_t{1000}, std::uint64_t{10000},
                                 std::uint64_t{100000},
                                 std::uint64_t{1000000}}) {
@@ -310,6 +331,17 @@ int main() {
         cell.policy = policy;
         cell.fleet_size = fleet_size;
         CellResult r = run_cell(cell, partitions);
+        if (!r.conserved) {
+          std::fprintf(stderr,
+                       "FAIL %llu clients/%s/%zu servers: %llu requests != "
+                       "%llu edge + %llu shed, or work left queued\n",
+                       static_cast<unsigned long long>(clients), policy,
+                       fleet_size,
+                       static_cast<unsigned long long>(r.requests),
+                       static_cast<unsigned long long>(r.completed_edge),
+                       static_cast<unsigned long long>(r.shed));
+          conserved = false;
+        }
         total_events += r.events_fired;
         total_wall_ms += r.wall_ms;
         double shed_rate =
@@ -382,5 +414,6 @@ int main() {
                      .set("events_per_s",
                           deterministic ? 0.0 : events_per_s));
 
-  return bench::write_json_array("BENCH_scale.json", json) ? 0 : 1;
+  const bool written = bench::write_json_array("BENCH_scale.json", json);
+  return written && conserved ? 0 : 1;
 }

@@ -10,6 +10,20 @@
 namespace offload::ctrl {
 namespace {
 
+/// EWMA smoothing for the per-(server, cut) drift-correction factors.
+constexpr double kEwmaAlpha = 0.3;
+/// One-way link latency assumed by the static partitioner term (the same
+/// value the client's click-time auto_partition uses).
+constexpr double kLatencyS = 0.001;
+/// Per failed attempt, the network-dependent terms (upload, return, queue
+/// wait) of every remote candidate are scaled by this factor when
+/// re-deciding — deadline pressure pushes toward deeper cuts, then
+/// full-local.
+constexpr double kFailureEscalation = 2.0;
+/// Floor for the bandwidth signal (guards the partitioner's bps > 0
+/// requirement against a degenerate estimator).
+constexpr double kMinBandwidthBps = 1e3;
+
 bool is_candidate_kind(nn::LayerKind kind) {
   // Mirrors core::labeled_cut_points: the controller sweeps the same
   // input/conv/pool candidates the Fig. 8 experiments label.
@@ -27,7 +41,6 @@ const char* policy_name(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kStatic: return "static";
     case PolicyKind::kDrift: return "drift";
-    case PolicyKind::kBandit: return "bandit";
   }
   return "?";
 }
@@ -35,7 +48,6 @@ const char* policy_name(PolicyKind kind) {
 PolicyKind parse_policy(std::string_view name) {
   if (name == "static") return PolicyKind::kStatic;
   if (name == "drift") return PolicyKind::kDrift;
-  if (name == "bandit") return PolicyKind::kBandit;
   throw std::invalid_argument("unknown OFFLOAD_CTRL policy: " +
                               std::string(name));
 }
@@ -45,23 +57,15 @@ void ControllerConfig::apply_env() {
   if (const char* env = std::getenv("OFFLOAD_CTRL")) {
     policy = parse_policy(env);
   }
-  if (const char* env = std::getenv("OFFLOAD_CTRL_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
-  }
 }
 
-CutController::CutController(const ControllerConfig& config,
-                             std::shared_ptr<const nn::Network> net,
+CutController::CutController(std::shared_ptr<const nn::Network> net,
                              nn::LayerCostModel client,
                              nn::LayerCostModel server)
-    : config_(config),
-      net_(std::move(net)),
+    : net_(std::move(net)),
       client_cost_(std::move(client)),
       server_cost_(std::move(server)),
-      partitioner_(*net_, client_cost_, server_cost_, config_.partitioner),
-      // Stream constant keeps the controller's draws disjoint from every
-      // other seeded component (workload 0x5e55, backoff 0xba0c, ...).
-      rng_(config_.seed, 0xc7b1) {
+      partitioner_(*net_, client_cost_, server_cost_) {
   const std::size_t last = net_->size() - 1;
   for (std::size_t cut : net_->cut_points()) {
     if (cut == last) continue;  // added below as the full-local arm
@@ -71,7 +75,7 @@ CutController::CutController(const ControllerConfig& config,
   // Denaturing is structural (which transforming layers sit before the
   // cut), not bandwidth-dependent — resolve it once here.
   arm_denatures_.resize(arms_.size(), false);
-  auto cands = partitioner_.evaluate(1e6, config_.latency_s);
+  auto cands = partitioner_.evaluate(1e6, kLatencyS);
   for (std::size_t i = 0; i < arms_.size(); ++i) {
     for (const auto& c : cands) {
       if (c.cut == arms_[i]) { arm_denatures_[i] = c.denatures; break; }
@@ -88,15 +92,6 @@ std::vector<double>& CutController::corrections_for(std::size_t server) {
   return it->second;
 }
 
-std::vector<CutController::ArmState>& CutController::bandit_for(
-    std::size_t server) {
-  auto it = bandit_.find(server);
-  if (it == bandit_.end()) {
-    it = bandit_.emplace(server, std::vector<ArmState>(arms_.size())).first;
-  }
-  return it->second;
-}
-
 double CutController::correction(std::size_t server, std::size_t arm) const {
   auto it = correction_.find(server);
   if (it == correction_.end() || arm >= it->second.size()) return 1.0;
@@ -105,8 +100,8 @@ double CutController::correction(std::size_t server, std::size_t arm) const {
 
 std::vector<double> CutController::predict(const LinkSignals& signals,
                                            double escalation) const {
-  const double bw = std::max(signals.bandwidth_bps, config_.min_bandwidth_bps);
-  auto cands = partitioner_.evaluate(bw, config_.latency_s);
+  const double bw = std::max(signals.bandwidth_bps, kMinBandwidthBps);
+  auto cands = partitioner_.evaluate(bw, kLatencyS);
   // Queue-occupancy wait: every job already queued (or in flight from this
   // client's fleet peers) costs roughly one full-network server pass,
   // spread across the scheduler's lanes, on top of the observed
@@ -155,7 +150,7 @@ Decision CutController::pick(std::size_t server, const LinkSignals& signals,
   // filter, and relax if the filter removes every candidate.
   std::vector<std::size_t> allowed;
   for (std::size_t i = 0; i < arms_.size(); ++i) {
-    if (!config_.partitioner.require_denature || arm_denatures_[i]) {
+    if (!partitioner_.options().require_denature || arm_denatures_[i]) {
       allowed.push_back(i);
     }
   }
@@ -163,43 +158,13 @@ Decision CutController::pick(std::size_t server, const LinkSignals& signals,
     for (std::size_t i = 0; i < arms_.size(); ++i) allowed.push_back(i);
   }
 
+  // Static estimate times the learned correction factor.
+  const auto& corr = corrections_for(server);
   std::size_t chosen = allowed.front();
-  if (config_.policy == PolicyKind::kBandit) {
-    auto& arms = bandit_for(server);
-    // Seed the priors as one virtual pull at the cost model's own ratio
-    // (1.0): the bandit starts exactly where the paper's static estimate
-    // starts and learns per-arm multiplicative drift from there.
-    for (auto& a : arms) {
-      if (a.pulls == 0) a.pulls = 1;
-    }
-    if (config_.explore_eps > 0 && rng_.chance(config_.explore_eps)) {
-      chosen = allowed[rng_.next_below(
-          static_cast<std::uint32_t>(allowed.size()))];
-    } else {
-      std::uint64_t total_pulls = 0;
-      for (const auto& a : arms) total_pulls += a.pulls;
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t i : allowed) {
-        const auto& a = arms[i];
-        const double bonus =
-            config_.ucb_c *
-            std::sqrt(std::log(static_cast<double>(total_pulls) + 1.0) /
-                      static_cast<double>(a.pulls));
-        // Optimism in ratio space, floored at the ratio clamp so a huge
-        // bonus cannot make an arm look better than physics allows.
-        const double score =
-            totals[i] * std::max(0.125, a.ratio - bonus);
-        if (score < best) { best = score; chosen = i; }
-      }
-    }
-  } else {
-    // Drift policy: static estimate times the learned correction factor.
-    const auto& corr = corrections_for(server);
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i : allowed) {
-      const double score = totals[i] * corr[i];
-      if (score < best) { best = score; chosen = i; }
-    }
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t i : allowed) {
+    const double score = totals[i] * corr[i];
+    if (score < best) { best = score; chosen = i; }
   }
 
   Decision d;
@@ -219,7 +184,7 @@ Decision CutController::decide(std::size_t server, const LinkSignals& signals) {
 Decision CutController::redecide(std::size_t server, const LinkSignals& signals,
                                  int failed_attempts) {
   const double esc =
-      std::pow(config_.failure_escalation, std::max(0, failed_attempts));
+      std::pow(kFailureEscalation, std::max(0, failed_attempts));
   return pick(server, signals, esc);
 }
 
@@ -234,22 +199,8 @@ void CutController::record(const Outcome& outcome) {
   if (outcome.ok && outcome.predicted_s > 0 && outcome.observed_s > 0) {
     ratio = clamp_ratio(outcome.observed_s / outcome.predicted_s);
   }
-  corr[outcome.arm] = (1.0 - config_.ewma_alpha) * corr[outcome.arm] +
-                      config_.ewma_alpha * ratio;
-
-  // Bandit arm value: EWMA of the same observed/predicted ratio (not a
-  // running absolute mean) so the bandit tracks non-stationary bandwidth
-  // and load through the live prediction instead of averaging epochs.
-  auto& arms = bandit_for(outcome.server);
-  auto& arm = arms[outcome.arm];
-  if (arm.pulls == 0) {
-    arm.ratio = ratio;
-    arm.pulls = 1;
-  } else {
-    arm.ratio = (1.0 - config_.ewma_alpha) * arm.ratio +
-                config_.ewma_alpha * ratio;
-  }
-  ++arm.pulls;
+  corr[outcome.arm] =
+      (1.0 - kEwmaAlpha) * corr[outcome.arm] + kEwmaAlpha * ratio;
 }
 
 }  // namespace offload::ctrl

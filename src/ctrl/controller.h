@@ -8,22 +8,21 @@
 // batch-formation wait (serve::Scheduler pull accessors), and the fleet's
 // per-server outstanding counts.
 //
-// Two policies, selected by ControllerConfig::policy (the OFFLOAD_CTRL env
-// knob):
-//   drift  — the static partitioner estimate per candidate cut, times an
+// One adaptive policy, selected by ControllerConfig::policy (the
+// OFFLOAD_CTRL env knob):
+//   drift  — the static partitioner estimate per candidate cut (the
+//            labeled input/conv/pool cut points, mirroring
+//            core::labeled_cut_points, plus the full-local arm), times an
 //            EWMA correction factor learned per (server, cut) from observed
 //            end-to-end latencies, plus a queue-occupancy wait term.
-//   bandit — a seeded UCB-style bandit over the labeled candidate cuts
-//            (input/conv/pool cut points, mirroring core::labeled_cut_points)
-//            plus the full-local arm, with the static estimate as its prior.
 // kStatic disables the controller entirely: behavior is bit-for-bit the
 // paper's click-time choice.
 //
-// Determinism rules (DESIGN §9): every decision is a pure function of the
-// constructor arguments, the seeded PCG32 stream, and the sequence of
-// decide()/record() calls — no wall clock, no pointer iteration, no
-// ambient state. Two controllers with the same seed fed the same call
-// sequence produce bit-identical decisions at any OFFLOAD_THREADS.
+// Determinism rules (DESIGN §9): the controller draws no random numbers.
+// Every decision is a pure function of the constructor arguments and the
+// sequence of decide()/record() calls — no wall clock, no pointer
+// iteration, no ambient state. Two controllers fed the same call sequence
+// produce bit-identical decisions at any OFFLOAD_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -35,54 +34,27 @@
 #include "src/nn/cost_model.h"
 #include "src/nn/network.h"
 #include "src/nn/partition.h"
-#include "src/util/rng.h"
 
 namespace offload::ctrl {
 
 enum class PolicyKind : std::uint8_t {
   kStatic = 0,  ///< controller off: the click-time static cut is used
   kDrift,       ///< drift-corrected cost model
-  kBandit,      ///< seeded UCB bandit over candidate cuts
 };
 
 const char* policy_name(PolicyKind kind);
-/// Parses "static" / "drift" / "bandit"; throws std::invalid_argument.
+/// Parses "static" / "drift"; throws std::invalid_argument on anything
+/// else.
 PolicyKind parse_policy(std::string_view name);
 
 struct ControllerConfig {
   PolicyKind policy = PolicyKind::kStatic;
-  /// Seed for the controller's PCG32 stream (bandit exploration draws and
-  /// tie-breaks). The OFFLOAD_CTRL_SEED env knob.
-  std::uint64_t seed = 1;
-  /// EWMA smoothing for the per-(server, cut) drift-correction factors.
-  double ewma_alpha = 0.3;
-  /// UCB exploration weight, in units of an arm's learned correction
-  /// ratio (bandit only): an arm's score is its live static prediction
-  /// times (ratio − ucb_c·sqrt(ln total_pulls / pulls)), so rarely-pulled
-  /// arms look optimistically cheap in proportion to how uncertain their
-  /// ratio still is. Kept small by default: under a *persistent*
-  /// degradation every unexplored remote arm looks optimistically cheap,
-  /// and each probe pays the full degraded round trip to learn its ratio.
-  double ucb_c = 0.05;
-  /// Seeded epsilon-greedy exploration on top of UCB (bandit only).
-  double explore_eps = 0.05;
-  /// One-way link latency assumed by the static partitioner term.
-  double latency_s = 0.001;
-  /// Per failed attempt, the network-dependent terms (upload, return,
-  /// queue wait) of every remote candidate are scaled by this factor when
-  /// re-deciding — deadline pressure pushes toward deeper cuts, then
-  /// full-local.
-  double failure_escalation = 2.0;
-  /// Floor for the bandwidth signal (guards the partitioner's bps > 0
-  /// requirement against a degenerate estimator).
-  double min_bandwidth_bps = 1e3;
-  nn::PartitionerOptions partitioner;
-  /// When false (the default), apply_env() lets OFFLOAD_CTRL /
-  /// OFFLOAD_CTRL_SEED override policy and seed at client construction.
-  /// Benches that sweep policies explicitly set true.
+  /// When false (the default), apply_env() lets OFFLOAD_CTRL override
+  /// policy at client construction. Benches that sweep policies explicitly
+  /// set true.
   bool ignore_env = false;
 
-  /// Override policy/seed from the environment (no-op when ignore_env).
+  /// Override policy from the environment (no-op when ignore_env).
   /// Unknown OFFLOAD_CTRL values throw std::invalid_argument.
   void apply_env();
   bool active() const { return policy != PolicyKind::kStatic; }
@@ -127,11 +99,10 @@ class CutController {
  public:
   /// `net` is the app's network; the cost models are the same per-device
   /// fits the static partitioner uses (LayerCostModel::profile_device).
-  CutController(const ControllerConfig& config,
-                std::shared_ptr<const nn::Network> net,
+  /// Built only for the adaptive policy (drift).
+  CutController(std::shared_ptr<const nn::Network> net,
                 nn::LayerCostModel client, nn::LayerCostModel server);
 
-  const ControllerConfig& config() const { return config_; }
   /// Candidate cuts, in ascending node order: the input/conv/pool cut
   /// points (mirroring core::labeled_cut_points) plus the final node (the
   /// full-local arm, always last).
@@ -154,15 +125,6 @@ class CutController {
   std::uint64_t outcomes() const { return outcomes_; }
 
  private:
-  struct ArmState {
-    std::uint64_t pulls = 0;
-    /// EWMA of observed/predicted for this arm (1.0 prior). Learning the
-    /// ratio instead of an absolute latency keeps the live telemetry
-    /// (measured bandwidth, queue depth) in every bandit score — an
-    /// absolute mean would go stale the moment the link shifts.
-    double ratio = 1.0;
-  };
-
   /// Static partitioner predictions per arm at these signals, with the
   /// escalation factor applied to the network-dependent terms.
   std::vector<double> predict(const LinkSignals& signals,
@@ -170,9 +132,7 @@ class CutController {
   Decision pick(std::size_t server, const LinkSignals& signals,
                 double escalation);
   std::vector<double>& corrections_for(std::size_t server);
-  std::vector<ArmState>& bandit_for(std::size_t server);
 
-  ControllerConfig config_;
   std::shared_ptr<const nn::Network> net_;
   nn::LayerCostModel client_cost_;
   nn::LayerCostModel server_cost_;
@@ -182,8 +142,6 @@ class CutController {
   /// Per-server learned state, keyed by server index (ordered map: dumps
   /// and iteration are deterministic).
   std::map<std::size_t, std::vector<double>> correction_;
-  std::map<std::size_t, std::vector<ArmState>> bandit_;
-  util::Pcg32 rng_;
   std::uint64_t decisions_ = 0;
   std::uint64_t outcomes_ = 0;
 };

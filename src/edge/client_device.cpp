@@ -236,8 +236,7 @@ void ClientDevice::ensure_controller() {
     server_cost_ = nn::LayerCostModel::profile_device(
         nn::DeviceProfile::edge_server(), nets);
   }
-  controller_.emplace(config_.controller, bundle_.network, *client_cost_,
-                      *server_cost_);
+  controller_.emplace(bundle_.network, *client_cost_, *server_cost_);
 }
 
 ctrl::LinkSignals ClientDevice::gather_signals(std::size_t server) {

@@ -76,13 +76,13 @@ struct ClientConfig {
   SupervisorConfig supervisor;
   /// Online partition-point controller (src/ctrl). The default `static`
   /// policy disables it entirely — the click-time cut above is used and
-  /// behavior is bit-identical to the paper reproduction. `drift`/`bandit`
-  /// re-select the cut per inference from live telemetry, and re-cut on
+  /// behavior is bit-identical to the paper reproduction. `drift`
+  /// re-selects the cut per inference from live telemetry, and re-cuts on
   /// supervised failures. Only meaningful for partial-inference apps
   /// (offload_event == "front_complete"); implies full-weight pre-send,
   /// like auto_partition (which it overrides when active). The constructor
-  /// applies the OFFLOAD_CTRL / OFFLOAD_CTRL_SEED env knobs unless
-  /// controller.ignore_env is set.
+  /// applies the OFFLOAD_CTRL env knob unless controller.ignore_env is set;
+  /// an unknown value throws.
   ctrl::ControllerConfig controller;
   /// Telemetry hook for the controller: given an attached-server index,
   /// return that server's live load signals (queue depth, lanes, batch

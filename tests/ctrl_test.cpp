@@ -32,15 +32,14 @@ nn::DeviceProfile crippled_client() {
   return profile;
 }
 
-ctrl::CutController make_controller(ctrl::ControllerConfig config,
-                                    std::shared_ptr<const nn::Network> net,
+ctrl::CutController make_controller(std::shared_ptr<const nn::Network> net,
                                     const nn::DeviceProfile& client_profile =
                                         nn::DeviceProfile::embedded_client()) {
   const nn::Network* nets[] = {net.get()};
   auto client = nn::LayerCostModel::profile_device(client_profile, nets);
   auto server = nn::LayerCostModel::profile_device(
       nn::DeviceProfile::edge_server(), nets);
-  return ctrl::CutController(config, std::move(net), std::move(client),
+  return ctrl::CutController(std::move(net), std::move(client),
                              std::move(server));
 }
 
@@ -65,32 +64,31 @@ core::RuntimeConfig adaptive_config(const edge::AppBundle& bundle,
 TEST(CtrlConfig, ParsePolicyRoundTrips) {
   EXPECT_EQ(ctrl::parse_policy("static"), ctrl::PolicyKind::kStatic);
   EXPECT_EQ(ctrl::parse_policy("drift"), ctrl::PolicyKind::kDrift);
-  EXPECT_EQ(ctrl::parse_policy("bandit"), ctrl::PolicyKind::kBandit);
   EXPECT_STREQ(ctrl::policy_name(ctrl::PolicyKind::kDrift), "drift");
   EXPECT_THROW(ctrl::parse_policy("adaptive"), std::invalid_argument);
+  // A removed policy fails loudly instead of running another one.
+  EXPECT_THROW(ctrl::parse_policy("bandit"), std::invalid_argument);
 }
 
 TEST(CtrlConfig, AppliesEnvKnobs) {
-  ::setenv("OFFLOAD_CTRL", "bandit", 1);
-  ::setenv("OFFLOAD_CTRL_SEED", "99", 1);
+  ::setenv("OFFLOAD_CTRL", "drift", 1);
   ctrl::ControllerConfig config;
   config.apply_env();
-  EXPECT_EQ(config.policy, ctrl::PolicyKind::kBandit);
-  EXPECT_EQ(config.seed, 99u);
+  EXPECT_EQ(config.policy, ctrl::PolicyKind::kDrift);
   EXPECT_TRUE(config.active());
 
   ctrl::ControllerConfig pinned;
   pinned.ignore_env = true;
   pinned.apply_env();
   EXPECT_EQ(pinned.policy, ctrl::PolicyKind::kStatic);
-  EXPECT_EQ(pinned.seed, 1u);
   EXPECT_FALSE(pinned.active());
 
-  ::setenv("OFFLOAD_CTRL", "bogus", 1);
-  ctrl::ControllerConfig bad;
-  EXPECT_THROW(bad.apply_env(), std::invalid_argument);
+  for (const char* removed_or_bogus : {"bogus", "bandit"}) {
+    ::setenv("OFFLOAD_CTRL", removed_or_bogus, 1);
+    ctrl::ControllerConfig bad;
+    EXPECT_THROW(bad.apply_env(), std::invalid_argument) << removed_or_bogus;
+  }
   ::unsetenv("OFFLOAD_CTRL");
-  ::unsetenv("OFFLOAD_CTRL_SEED");
 }
 
 // ---------------------------------------------------------------------------
@@ -98,9 +96,7 @@ TEST(CtrlConfig, AppliesEnvKnobs) {
 
 TEST(CutController, ArmsMirrorLabeledCutPointsPlusLocal) {
   auto net = tiny_net();
-  ctrl::ControllerConfig config;
-  config.policy = ctrl::PolicyKind::kDrift;
-  auto controller = make_controller(config, net);
+  auto controller = make_controller(net);
 
   std::vector<core::CutLabel> labels = core::labeled_cut_points(*net);
   const auto& arms = controller.arms();
@@ -113,45 +109,36 @@ TEST(CutController, ArmsMirrorLabeledCutPointsPlusLocal) {
 
 TEST(CutController, DecisionsAreBitDeterministic) {
   auto net = tiny_net();
-  for (auto policy :
-       {ctrl::PolicyKind::kDrift, ctrl::PolicyKind::kBandit}) {
-    ctrl::ControllerConfig config;
-    config.policy = policy;
-    config.seed = 7;
-    auto a = make_controller(config, net);
-    auto b = make_controller(config, net);
-    ctrl::LinkSignals signals;
-    signals.bandwidth_bps = 30e6;
-    for (int i = 0; i < 50; ++i) {
-      signals.queue_depth = static_cast<std::size_t>(i % 5);
-      ctrl::Decision da = a.decide(0, signals);
-      ctrl::Decision db = b.decide(0, signals);
-      ASSERT_EQ(da.cut, db.cut) << "policy " << ctrl::policy_name(policy)
-                                << " diverged at step " << i;
-      ASSERT_EQ(da.arm, db.arm);
-      ASSERT_EQ(da.local, db.local);
-      ASSERT_EQ(da.predicted_s, db.predicted_s);  // bit-exact
-      // Identical synthetic feedback on both sides.
-      ctrl::Outcome o;
-      o.server = 0;
-      o.arm = da.arm;
-      o.local = da.local;
-      o.ok = (i % 7) != 3;
-      o.observed_s = da.predicted_s * (1.0 + 0.1 * (i % 4));
-      o.predicted_s = da.predicted_s;
-      a.record(o);
-      b.record(o);
-    }
-    EXPECT_EQ(a.decisions(), 50u);
-    EXPECT_EQ(a.outcomes(), 50u);
+  auto a = make_controller(net);
+  auto b = make_controller(net);
+  ctrl::LinkSignals signals;
+  signals.bandwidth_bps = 30e6;
+  for (int i = 0; i < 50; ++i) {
+    signals.queue_depth = static_cast<std::size_t>(i % 5);
+    ctrl::Decision da = a.decide(0, signals);
+    ctrl::Decision db = b.decide(0, signals);
+    ASSERT_EQ(da.cut, db.cut) << "diverged at step " << i;
+    ASSERT_EQ(da.arm, db.arm);
+    ASSERT_EQ(da.local, db.local);
+    ASSERT_EQ(da.predicted_s, db.predicted_s);  // bit-exact
+    // Identical synthetic feedback on both sides.
+    ctrl::Outcome o;
+    o.server = 0;
+    o.arm = da.arm;
+    o.local = da.local;
+    o.ok = (i % 7) != 3;
+    o.observed_s = da.predicted_s * (1.0 + 0.1 * (i % 4));
+    o.predicted_s = da.predicted_s;
+    a.record(o);
+    b.record(o);
   }
+  EXPECT_EQ(a.decisions(), 50u);
+  EXPECT_EQ(a.outcomes(), 50u);
 }
 
 TEST(CutController, DriftCorrectionLearnsFromObservations) {
   auto net = tiny_net();
-  ctrl::ControllerConfig config;
-  config.policy = ctrl::PolicyKind::kDrift;
-  auto controller = make_controller(config, net, crippled_client());
+  auto controller = make_controller(net, crippled_client());
   ctrl::LinkSignals signals;
   signals.bandwidth_bps = 30e6;
 
@@ -178,9 +165,7 @@ TEST(CutController, DriftCorrectionLearnsFromObservations) {
 
 TEST(CutController, FailureEscalationWalksTowardLocal) {
   auto net = tiny_net();
-  ctrl::ControllerConfig config;
-  config.policy = ctrl::PolicyKind::kDrift;
-  auto controller = make_controller(config, net, crippled_client());
+  auto controller = make_controller(net, crippled_client());
   ctrl::LinkSignals slow;
   slow.bandwidth_bps = 1e6;  // constrained uplink
 
@@ -193,30 +178,9 @@ TEST(CutController, FailureEscalationWalksTowardLocal) {
   EXPECT_FALSE(fresh.local);
 }
 
-TEST(CutController, BanditSeedIsMeaningful) {
+TEST(CutController, DriftMovesOffAFailingArm) {
   auto net = tiny_net();
-  ctrl::ControllerConfig config;
-  config.policy = ctrl::PolicyKind::kBandit;
-  config.explore_eps = 0.3;  // high exploration to expose the stream
-  config.seed = 1;
-  auto a = make_controller(config, net);
-  config.seed = 2;
-  auto b = make_controller(config, net);
-  ctrl::LinkSignals signals;
-  signals.bandwidth_bps = 30e6;
-  bool diverged = false;
-  for (int i = 0; i < 64 && !diverged; ++i) {
-    diverged = a.decide(0, signals).arm != b.decide(0, signals).arm;
-  }
-  EXPECT_TRUE(diverged) << "seeds 1 and 2 explored identically";
-}
-
-TEST(CutController, BanditMovesOffAFailingArm) {
-  auto net = tiny_net();
-  ctrl::ControllerConfig config;
-  config.policy = ctrl::PolicyKind::kBandit;
-  config.explore_eps = 0;  // pure UCB for a deterministic assertion
-  auto controller = make_controller(config, net);
+  auto controller = make_controller(net);
   ctrl::LinkSignals signals;
   signals.bandwidth_bps = 30e6;
 
@@ -234,8 +198,9 @@ TEST(CutController, BanditMovesOffAFailingArm) {
     o.predicted_s = d.predicted_s;
     controller.record(o);
   }
-  // Failures are penalized; the bandit must abandon the failing arm for
-  // most of the run.
+  // Each failure records the maximum penalty ratio (8) against the arm;
+  // its correction prices it out and the controller abandons it for most
+  // of the run.
   EXPECT_LT(on_first, 10);
 }
 
@@ -287,33 +252,28 @@ TEST(CtrlIntegration, DriftPolicyDecidesEveryInference) {
 }
 
 TEST(CtrlIntegration, AdaptiveRunsAreDeterministic) {
-  for (auto policy :
-       {ctrl::PolicyKind::kDrift, ctrl::PolicyKind::kBandit}) {
-    std::vector<double> latencies[2];
-    std::vector<std::size_t> cuts[2];
-    for (int run = 0; run < 2; ++run) {
-      edge::AppBundle bundle = make_benchmark_app(tiny_model(), true);
-      core::RuntimeConfig config = adaptive_config(bundle, policy);
-      core::OffloadingRuntime runtime(config, std::move(bundle));
-      runtime.run();
-      for (int i = 0; i < 3; ++i) {
-        runtime.client().click_at(runtime.simulation().now() +
-                                  sim::SimTime::seconds(1));
-        runtime.simulation().run();
-      }
-      for (const auto& t : runtime.client().history()) {
-        latencies[run].push_back(t.inference_seconds());
-        cuts[run].push_back(t.used_partition_cut);
-      }
-      latencies[run].push_back(
-          runtime.client().timeline().inference_seconds());
-      cuts[run].push_back(
-          runtime.client().timeline().used_partition_cut);
+  std::vector<double> latencies[2];
+  std::vector<std::size_t> cuts[2];
+  for (int run = 0; run < 2; ++run) {
+    edge::AppBundle bundle = make_benchmark_app(tiny_model(), true);
+    core::RuntimeConfig config =
+        adaptive_config(bundle, ctrl::PolicyKind::kDrift);
+    core::OffloadingRuntime runtime(config, std::move(bundle));
+    runtime.run();
+    for (int i = 0; i < 3; ++i) {
+      runtime.client().click_at(runtime.simulation().now() +
+                                sim::SimTime::seconds(1));
+      runtime.simulation().run();
     }
-    EXPECT_EQ(latencies[0], latencies[1])
-        << "policy " << ctrl::policy_name(policy);
-    EXPECT_EQ(cuts[0], cuts[1]) << "policy " << ctrl::policy_name(policy);
+    for (const auto& t : runtime.client().history()) {
+      latencies[run].push_back(t.inference_seconds());
+      cuts[run].push_back(t.used_partition_cut);
+    }
+    latencies[run].push_back(runtime.client().timeline().inference_seconds());
+    cuts[run].push_back(runtime.client().timeline().used_partition_cut);
   }
+  EXPECT_EQ(latencies[0], latencies[1]);
+  EXPECT_EQ(cuts[0], cuts[1]);
 }
 
 TEST(CtrlIntegration, BandwidthCollapseMovesTheCut) {

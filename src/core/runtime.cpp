@@ -27,7 +27,7 @@ OffloadingRuntime::OffloadingRuntime(RuntimeConfig config,
     : config_(std::move(config)) {
   if (config_.client.supervisor.enabled) {
     // The supervisor watches per-phase deadlines through the server's
-    // "accepted:"/"done:" receipts; turn them on to match.
+    // kAccepted/kDone receipts; turn them on to match.
     config_.server.ack_snapshots = true;
   }
   if (config_.obs) {

@@ -1,6 +1,6 @@
 #include "src/edge/client_device.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/jsvm/snapshot.h"
@@ -8,7 +8,6 @@
 #include "src/nn/kernels.h"
 #include "src/util/hash.h"
 #include "src/util/logging.h"
-#include "src/util/strings.h"
 #include "src/vmsynth/overlay.h"
 #include "src/vmsynth/vmimage.h"
 
@@ -31,16 +30,7 @@ ClientDevice::ClientDevice(sim::Simulation& sim, net::Endpoint& endpoint,
   browser_ = std::make_unique<BrowserHost>(config_.profile, local_store_);
   browser_->add_image("input", bundle_.input_image);
   if (supervising()) backoff_.emplace(config_.supervisor);
-  servers_.push_back(&endpoint_);
-  model_sent_.push_back(0);
-  breakers_.emplace_back(config_.supervisor);
-  endpoint_.set_handler([this](const net::Message& m) { on_message(m); });
-  if (supervising()) {
-    endpoint_.set_failure_handler(
-        [this](const net::Message& m, int attempts) {
-          on_delivery_failure(m, attempts);
-        });
-  }
+  attach_server(endpoint_);
 }
 
 std::size_t ClientDevice::attach_server(net::Endpoint& endpoint) {
@@ -77,57 +67,56 @@ void ClientDevice::send_model_files(bool count_as_presend) {
     send_model_offer(count_as_presend);
     return;
   }
+  std::vector<nn::ModelFile> rear;
+  util::Bytes payload = ModelFilesPayload::encode_files(files_to_send(rear));
+  send_presend(app_message(net::MessageType::kModelFiles, std::move(payload)),
+               count_as_presend, "presend:", "client.model_sends");
+}
+
+net::Message ClientDevice::app_message(net::MessageType type,
+                                       util::Bytes payload) const {
+  net::Message msg;
+  msg.type = type;
+  msg.name = bundle_.name;
+  msg.payload = std::move(payload);
+  return msg;
+}
+
+void ClientDevice::send_presend(net::Message msg, bool count_as_presend,
+                                const char* label, const char* metric) {
   model_sent() = true;
   awaiting_ack_ = true;
-  std::vector<nn::ModelFile> rear;
-  net::Message msg;
-  msg.type = net::MessageType::kModelFiles;
-  msg.name = bundle_.name;
-  msg.payload = ModelFilesPayload::encode_files(files_to_send(rear));
   timeline_.model_upload_bytes = msg.payload.size();
   if (count_as_presend) timeline_.model_upload_started = sim_.now();
-  if (obs_) {
-    // One kPresend span per model send toward an ACK, on the session
-    // trace. A re-send supersedes (closes) the previous open span.
-    if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
-    presend_span_ =
-        obs_->trace.open(0, 0, obs::SpanKind::kPresend,
-                         "presend:" + bundle_.name, "client/protocol",
-                         sim_.now());
-    msg.ctx = {0, presend_span_, 0};
-    obs_->metrics.add("client.model_sends");
-  }
+  open_presend_span(msg, label, metric);
   active_endpoint().send(std::move(msg));
+}
+
+void ClientDevice::open_presend_span(net::Message& msg, const char* label,
+                                     const char* metric) {
+  if (!obs_) return;
+  // One kPresend span per model send toward an ACK, on the session trace.
+  // A re-send supersedes (closes) the previous open span.
+  if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
+  presend_span_ = obs_->trace.open(0, 0, obs::SpanKind::kPresend,
+                                   label + bundle_.name, "client/protocol",
+                                   sim_.now());
+  msg.ctx = {0, presend_span_, 0};
+  obs_->metrics.add(metric);
 }
 
 void ClientDevice::send_model_offer(bool count_as_presend) {
   // Content-addressed pre-send: ship digests, not bodies. The server
-  // answers "have:<app>" (an ACK) when its blob cache covers the bundle,
-  // or "send_files:<app>" naming the files it needs uploaded in full.
-  model_sent() = true;
-  awaiting_ack_ = true;
+  // answers kHave (an ACK) when its blob cache covers the bundle, or
+  // kSendFiles naming the files it needs uploaded in full.
   ModelOfferPayload payload;
   std::vector<nn::ModelFile> rear;
   for (const auto& f : files_to_send(rear)) {
     payload.files.push_back(
         {f.name, util::fnv1a(std::span(f.content)), f.size()});
   }
-  net::Message msg;
-  msg.type = net::MessageType::kModelOffer;
-  msg.name = bundle_.name;
-  msg.payload = payload.encode();
-  timeline_.model_upload_bytes = msg.payload.size();
-  if (count_as_presend) timeline_.model_upload_started = sim_.now();
-  if (obs_) {
-    if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
-    presend_span_ =
-        obs_->trace.open(0, 0, obs::SpanKind::kPresend,
-                         "offer:" + bundle_.name, "client/protocol",
-                         sim_.now());
-    msg.ctx = {0, presend_span_, 0};
-    obs_->metrics.add("client.model_offers");
-  }
-  active_endpoint().send(std::move(msg));
+  send_presend(app_message(net::MessageType::kModelOffer, payload.encode()),
+               count_as_presend, "offer:", "client.model_offers");
 }
 
 void ClientDevice::send_requested_files(const FileListPayload& request) {
@@ -137,17 +126,13 @@ void ClientDevice::send_requested_files(const FileListPayload& request) {
   ModelFilesPayload payload;
   std::vector<nn::ModelFile> rear;
   for (const auto& f : files_to_send(rear)) {
-    for (const auto& name : request.names) {
-      if (f.name == name) {
-        payload.files.push_back(f);
-        break;
-      }
+    if (std::find(request.names.begin(), request.names.end(), f.name) !=
+        request.names.end()) {
+      payload.files.push_back(f);
     }
   }
-  net::Message msg;
-  msg.type = net::MessageType::kModelFiles;
-  msg.name = bundle_.name;
-  msg.payload = payload.encode();
+  net::Message msg =
+      app_message(net::MessageType::kModelFiles, payload.encode());
   timeline_.model_upload_bytes += msg.payload.size();
   if (obs_) {
     msg.ctx = {0, presend_span_, 0};
@@ -169,19 +154,9 @@ void ClientDevice::send_overlay() {
       base, config_.overlay_sizes, model_files);
   vmsynth::VmOverlay overlay = vmsynth::create_overlay(base, customized);
 
-  net::Message msg;
-  msg.type = net::MessageType::kVmOverlay;
-  msg.name = bundle_.name;
-  msg.payload = std::move(overlay.payload);
-  if (obs_) {
-    if (presend_span_) obs_->trace.close(presend_span_, sim_.now());
-    presend_span_ =
-        obs_->trace.open(0, 0, obs::SpanKind::kPresend,
-                         "overlay:" + bundle_.name, "client/protocol",
-                         sim_.now());
-    msg.ctx = {0, presend_span_, 0};
-    obs_->metrics.add("client.overlay_sends");
-  }
+  net::Message msg =
+      app_message(net::MessageType::kVmOverlay, std::move(overlay.payload));
+  open_presend_span(msg, "overlay:", "client.overlay_sends");
   active_endpoint().send(std::move(msg));
   model_sent() = true;  // the overlay carried the model files
   timeline_.model_upload_started = sim_.now();
@@ -200,24 +175,32 @@ void ClientDevice::start() {
   browser_->consume_compute_seconds();  // app-start compute is not measured
 
   if (config_.offload && config_.presend_model) {
-    send_model_files(/*count_as_presend=*/true);
     presend_attempts_ = 1;
-    arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
+    resend_model(/*count_as_presend=*/true);
   }
+}
+
+void ClientDevice::resend_model(bool count_as_presend) {
+  model_sent() = false;
+  send_model_files(count_as_presend);
+  arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
 }
 
 void ClientDevice::click_at(sim::SimTime at) {
   sim_.schedule_at(at, [this] { begin_inference(); });
 }
 
+void ClientDevice::ensure_cost_models() {
+  if (client_cost_) return;
+  const nn::Network* nets[] = {bundle_.network.get()};
+  client_cost_ = nn::LayerCostModel::profile_device(config_.profile, nets);
+  server_cost_ = nn::LayerCostModel::profile_device(
+      nn::DeviceProfile::edge_server(), nets);
+}
+
 std::size_t ClientDevice::pick_partition_cut() {
   if (!config_.auto_partition) return config_.partition_cut;
-  if (!client_cost_) {
-    const nn::Network* nets[] = {bundle_.network.get()};
-    client_cost_ = nn::LayerCostModel::profile_device(config_.profile, nets);
-    server_cost_ = nn::LayerCostModel::profile_device(
-        nn::DeviceProfile::edge_server(), nets);
-  }
+  ensure_cost_models();
   nn::Partitioner partitioner(*bundle_.network, *client_cost_, *server_cost_);
   nn::PartitionCandidate best =
       partitioner.best(bandwidth_.estimate_bps(), 0.001);
@@ -230,12 +213,7 @@ std::size_t ClientDevice::pick_partition_cut() {
 
 void ClientDevice::ensure_controller() {
   if (controller_) return;
-  if (!client_cost_) {
-    const nn::Network* nets[] = {bundle_.network.get()};
-    client_cost_ = nn::LayerCostModel::profile_device(config_.profile, nets);
-    server_cost_ = nn::LayerCostModel::profile_device(
-        nn::DeviceProfile::edge_server(), nets);
-  }
+  ensure_cost_models();
   controller_.emplace(bundle_.network, *client_cost_, *server_cost_);
 }
 
@@ -250,33 +228,40 @@ void ClientDevice::apply_decision(ctrl::Decision decision,
                                   const char* origin) {
   decision_ = decision;
   decision_recorded_ = false;
-  if (decision.local) {
-    // The controller says local execution wins under current conditions.
-    // The app still needs a valid cut for its inference_front/rear calls
-    // (same idiom as the auto_partition local branch).
-    timeline_.local_fallback = true;
-    std::size_t local_cut = config_.partition_cut != SIZE_MAX
-                                ? config_.partition_cut
-                                : bundle_.network->cut_points().front();
-    browser_->set_partition_cut(bundle_.name, local_cut);
-    timeline_.used_partition_cut = local_cut;
-  } else {
-    browser_->set_partition_cut(bundle_.name, decision.cut);
-    timeline_.used_partition_cut = decision.cut;
-  }
+  apply_cut(decision.local, decision.cut);
   count("ctrl.decisions");
   if (decision.local) count("ctrl.local_decisions");
-  if (obs_) {
-    obs::SpanId s = obs_->trace.emit(
-        trace_, root_span_, obs::SpanKind::kCtrlDecision,
-        std::string("ctrl:") + origin, "client", sim_.now(), sim_.now(), 0.0);
-    obs_->trace.attr(s, "policy", policy_name(config_.controller.policy));
-    obs_->trace.attr(s, "cut", static_cast<std::int64_t>(decision.cut));
+  emit_decision_span(std::string("ctrl:") + origin, decision,
+                     /*with_local=*/true);
+}
+
+void ClientDevice::emit_decision_span(const std::string& label,
+                                      const ctrl::Decision& decision,
+                                      bool with_local) {
+  if (!obs_) return;
+  obs::SpanId s =
+      obs_->trace.emit(trace_, root_span_, obs::SpanKind::kCtrlDecision, label,
+                       "client", sim_.now(), sim_.now(), 0.0);
+  obs_->trace.attr(s, "policy", policy_name(config_.controller.policy));
+  obs_->trace.attr(s, "cut", static_cast<std::int64_t>(decision.cut));
+  if (with_local) {
     obs_->trace.attr(s, "local",
                      static_cast<std::int64_t>(decision.local ? 1 : 0));
-    obs_->trace.attr(s, "server",
-                     static_cast<std::int64_t>(decision.server));
   }
+  obs_->trace.attr(s, "server", static_cast<std::int64_t>(decision.server));
+}
+
+void ClientDevice::apply_cut(bool local, std::size_t cut) {
+  if (local) {
+    // Local execution wins under current conditions. The app still needs
+    // a valid cut for its inference_front/rear calls.
+    timeline_.local_fallback = true;
+    cut = config_.partition_cut != SIZE_MAX
+              ? config_.partition_cut
+              : bundle_.network->cut_points().front();
+  }
+  browser_->set_partition_cut(bundle_.name, cut);
+  timeline_.used_partition_cut = cut;
 }
 
 void ClientDevice::record_decision(bool ok, double observed_s) {
@@ -309,21 +294,10 @@ std::optional<ctrl::Decision> ClientDevice::plan_recut() {
 
 void ClientDevice::perform_recut(const ctrl::Decision& decision) {
   if (!awaiting_result_ || !inflight_snapshot_ || hedge_running_) return;
-  // The superseded decision pays for the time burned on it so far.
-  record_decision(false, (sim_.now() - timeline_.clicked).to_seconds());
-  decision_ = decision;
-  decision_recorded_ = false;
+  supersede_decision(decision);
   count("ctrl.recuts");
   OFFLOAD_LOG_INFO << "client: re-cutting in flight to node " << decision.cut;
-  if (obs_) {
-    obs::SpanId s = obs_->trace.emit(
-        trace_, root_span_, obs::SpanKind::kCtrlDecision, "ctrl:recut",
-        "client", sim_.now(), sim_.now(), 0.0);
-    obs_->trace.attr(s, "policy", policy_name(config_.controller.policy));
-    obs_->trace.attr(s, "cut", static_cast<std::int64_t>(decision.cut));
-    obs_->trace.attr(s, "server",
-                     static_cast<std::int64_t>(decision.server));
-  }
+  emit_decision_span("ctrl:recut", decision, /*with_local=*/false);
 
   // The deferred offload event is stale (it carries the old cut's feature
   // state): drop it, re-run the front at the new cut, and recapture. The
@@ -331,8 +305,7 @@ void ClientDevice::perform_recut(const ctrl::Decision& decision) {
   // saved transfer outweighs it.
   jsvm::Interpreter& interp = browser_->interp();
   interp.pop_front_event();
-  browser_->set_partition_cut(bundle_.name, decision.cut);
-  timeline_.used_partition_cut = decision.cut;
+  apply_cut(/*local=*/false, decision.cut);
   jsvm::DomNodePtr target =
       interp.document().get_element_by_id(bundle_.click_target);
   if (!target) {
@@ -340,56 +313,19 @@ void ClientDevice::perform_recut(const ctrl::Decision& decision) {
     return;
   }
   interp.enqueue_event(std::move(target), "click", jsvm::Undefined{});
-  interp.offload_hook = [this](const jsvm::PendingEvent& ev) {
-    return ev.type == config_.offload_event;
-  };
-  {
-    obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
-    interp.run_events();
-  }
-  double exec_s = browser_->consume_compute_seconds();
-  timeline_.client_exec_s += exec_s;
+  const double exec_s = run_events_charged(/*defer_offload=*/true,
+                                           "exec_recut");
   const sim::SimTime exec_end = sim_.now() + sim::SimTime::seconds(exec_s);
-  if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_recut", "client", sim_.now(), exec_end, exec_s);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
-  }
-  auto pending = interp.take_pending_offload();
-  if (!pending) {
+  if (!interp.take_pending_offload()) {
     // The app ran to completion locally (no offload event at the new cut).
-    timeline_.local_fallback = true;
-    timeline_.offloaded = false;
-    awaiting_result_ = false;
-    inflight_snapshot_.reset();
-    cancel_supervision_timers();
+    end_remote_attempt(/*fell_back=*/true);
     timeline_.finished = exec_end;
     finish_trace();
     return;
   }
-  jsvm::SnapshotResult snap =
-      jsvm::capture_snapshot(interp, config_.snapshot_options);
-  SnapshotPayload payload;
-  payload.cut = decision.cut;
-  payload.program = std::move(snap.program);
-  timeline_.snapshot_stats = snap.stats;
-  timeline_.used_differential = false;
-  double capture_s =
-      config_.profile.snapshot_capture_s(snap.stats.total_bytes);
-  timeline_.capture_s += capture_s;
-  if (obs_) {
-    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientCapture,
-                     "recapture", "client", exec_end,
-                     exec_end + sim::SimTime::seconds(capture_s), capture_s);
-    obs_->metrics.add("client.recaptures");
-  }
-  net::Message msg;
-  msg.type = net::MessageType::kSnapshot;
-  msg.name = bundle_.name;
-  msg.payload = payload.encode();
-  timeline_.snapshot_bytes = msg.wire_size();
-  inflight_snapshot_ = std::move(msg);
+  double capture_s = 0;
+  inflight_snapshot_ =
+      capture_snapshot_message(/*recapture=*/true, exec_end, capture_s);
   baseline_.reset();  // the re-run front invalidated the shared baseline
   sim_.schedule(sim::SimTime::seconds(exec_s + capture_s), [this] {
     if (!awaiting_result_ || !inflight_snapshot_) return;
@@ -410,22 +346,21 @@ void ClientDevice::apply_route() {
   std::vector<std::size_t> order = config_.route(history_.size());
   std::vector<std::size_t> valid;
   for (std::size_t id : order) {
-    if (id >= servers_.size()) continue;
-    bool dup = false;
-    for (std::size_t seen : valid) {
-      if (seen == id) {
-        dup = true;
-        break;
-      }
+    if (id < servers_.size() &&
+        std::find(valid.begin(), valid.end(), id) == valid.end()) {
+      valid.push_back(id);
     }
-    if (!dup) valid.push_back(id);
   }
   if (valid.empty()) return;
   candidates_ = std::move(valid);
-  if (candidates_.front() != active_server_) {
-    active_server_ = candidates_.front();
-    baseline_.reset();  // sessions do not migrate between servers
-  }
+  if (candidates_.front() != active_server_) switch_server(candidates_.front());
+}
+
+void ClientDevice::switch_server(std::size_t index) {
+  active_server_ = index;
+  timeline_.server_index = static_cast<int>(index);
+  baseline_.reset();  // sessions do not migrate between servers
+  attempts_ = 0;      // fresh retry budget against the new server
 }
 
 void ClientDevice::notify_done() {
@@ -485,21 +420,10 @@ void ClientDevice::begin_inference() {
         controller_->decide(active_server_, gather_signals(active_server_)),
         "click");
   } else if (config_.offload && config_.auto_partition) {
+    // A cut at the last node means the partitioner says local execution
+    // wins under current network conditions; honor it for this inference.
     std::size_t cut = pick_partition_cut();
-    if (cut + 1 >= bundle_.network->size()) {
-      // The partitioner says local execution wins under current network
-      // conditions; honor it for this inference. The app still needs a
-      // valid cut for its inference_front/rear calls.
-      timeline_.local_fallback = true;
-      std::size_t local_cut = config_.partition_cut != SIZE_MAX
-                                  ? config_.partition_cut
-                                  : bundle_.network->cut_points().front();
-      browser_->set_partition_cut(bundle_.name, local_cut);
-      timeline_.used_partition_cut = local_cut;
-    } else {
-      timeline_.used_partition_cut = cut;
-      browser_->set_partition_cut(bundle_.name, cut);
-    }
+    apply_cut(cut + 1 >= bundle_.network->size(), cut);
   }
 
   jsvm::DomNodePtr target =
@@ -514,27 +438,84 @@ void ClientDevice::begin_inference() {
 }
 
 void ClientDevice::run_locally() {
+  const double exec_s = run_events_charged(/*defer_offload=*/false,
+                                           "exec_local");
+  timeline_.finished = sim_.now() + sim::SimTime::seconds(exec_s);
+  finish_trace();
+}
+
+double ClientDevice::run_events_charged(bool defer_offload,
+                                        const char* label) {
   jsvm::Interpreter& interp = browser_->interp();
   interp.offload_hook = nullptr;
+  if (defer_offload) {
+    interp.offload_hook = [this](const jsvm::PendingEvent& ev) {
+      return ev.type == config_.offload_event;
+    };
+  }
   {
     obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
     interp.run_events();
   }
-  double exec_s = browser_->consume_compute_seconds();
+  const double exec_s = browser_->consume_compute_seconds();
   timeline_.client_exec_s += exec_s;
-  timeline_.finished = sim_.now() + sim::SimTime::seconds(exec_s);
   if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_local", "client", sim_.now(),
-                         *timeline_.finished, exec_s);
+    const obs::SpanId exec_span = obs_->trace.emit(
+        trace_, root_span_, obs::SpanKind::kClientExec, label, "client",
+        sim_.now(), sim_.now() + sim::SimTime::seconds(exec_s), exec_s);
     nn::tag_kernel_backend_span(obs_->trace, exec_span);
   }
-  finish_trace();
+  return exec_s;
+}
+
+net::Message ClientDevice::capture_snapshot_message(bool recapture,
+                                                    sim::SimTime from,
+                                                    double& capture_s) {
+  // The pending event is still at the queue front and rides along. A
+  // first capture diffs against the state the server kept, when there is
+  // one; a recapture is always full (the server lost that state, or the
+  // front was re-run).
+  jsvm::Interpreter& interp = browser_->interp();
+  SnapshotPayload payload;
+  payload.cut = timeline_.used_partition_cut == SIZE_MAX
+                    ? UINT64_MAX
+                    : timeline_.used_partition_cut;
+  if (!recapture && config_.differential_snapshots && baseline_) {
+    jsvm::DiffSnapshotResult diff =
+        jsvm::capture_snapshot_diff(interp, *baseline_,
+                                    config_.snapshot_options);
+    payload.differential = !diff.full_fallback;
+    payload.base_version = diff.base_version;
+    payload.program = std::move(diff.program);
+    timeline_.snapshot_stats = diff.stats;
+  } else {
+    jsvm::SnapshotResult snap =
+        jsvm::capture_snapshot(interp, config_.snapshot_options);
+    payload.program = std::move(snap.program);
+    timeline_.snapshot_stats = snap.stats;
+  }
+  timeline_.used_differential = payload.differential;
+  capture_s = config_.profile.snapshot_capture_s(
+      timeline_.snapshot_stats.total_bytes);
+  if (recapture) {
+    timeline_.capture_s += capture_s;
+  } else {
+    timeline_.capture_s = capture_s;
+  }
+  if (obs_) {
+    // The capture is charged right after the work before it (`from`); its
+    // span abuts that one so the two tile [now, snapshot send).
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientCapture,
+                     recapture ? "recapture" : "capture", "client", from,
+                     from + sim::SimTime::seconds(capture_s), capture_s);
+    if (recapture) obs_->metrics.add("client.recaptures");
+  }
+  net::Message msg = app_message(net::MessageType::kSnapshot, payload.encode());
+  timeline_.snapshot_bytes = msg.wire_size();
+  return msg;
 }
 
 void ClientDevice::run_app_events() {
-  jsvm::Interpreter& interp = browser_->interp();
   bool want_offload = config_.offload && !timeline_.local_fallback;
   if (want_offload && config_.local_fallback_before_ack &&
       !timeline_.ack_received && config_.presend_model) {
@@ -552,9 +533,7 @@ void ClientDevice::run_app_events() {
       ++sup_stats_.failovers;
       count("supervisor.failovers");
       OFFLOAD_LOG_WARN << "client: breaker open, routing to server " << next;
-      active_server_ = next;
-      timeline_.server_index = static_cast<int>(next);
-      baseline_.reset();  // sessions do not migrate between servers
+      switch_server(next);
     } else {
       ++sup_stats_.breaker_short_circuits;
       count("supervisor.breaker_short_circuits");
@@ -568,72 +547,21 @@ void ClientDevice::run_app_events() {
     return;
   }
 
-  interp.offload_hook = [this](const jsvm::PendingEvent& ev) {
-    return ev.type == config_.offload_event;
-  };
-  {
-    obs::ScopedMetrics nn_metrics(obs_ ? &obs_->metrics : nullptr);
-    interp.run_events();
-  }
-  double exec_s = browser_->consume_compute_seconds();
-  timeline_.client_exec_s += exec_s;
+  const double exec_s = run_events_charged(/*defer_offload=*/true,
+                                           "exec_front");
   const sim::SimTime exec_end = sim_.now() + sim::SimTime::seconds(exec_s);
-  if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_front", "client", sim_.now(), exec_end, exec_s);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
-  }
-
-  auto pending = interp.take_pending_offload();
-  if (!pending) {
+  if (!browser_->interp().take_pending_offload()) {
     // Ran to completion locally (app never raised the offload event).
     timeline_.finished = exec_end;
     finish_trace();
     return;
   }
-
-  // Offload point reached: capture the snapshot (the pending event is
-  // still at the queue front and rides along). Repeat offloads diff
-  // against the state the server kept.
-  SnapshotPayload payload;
-  payload.cut = timeline_.used_partition_cut == SIZE_MAX
-                    ? UINT64_MAX
-                    : timeline_.used_partition_cut;
-  if (config_.differential_snapshots && baseline_) {
-    jsvm::DiffSnapshotResult diff =
-        jsvm::capture_snapshot_diff(interp, *baseline_,
-                                    config_.snapshot_options);
-    payload.differential = !diff.full_fallback;
-    payload.base_version = diff.base_version;
-    payload.program = std::move(diff.program);
-    timeline_.snapshot_stats = diff.stats;
-    timeline_.used_differential = payload.differential;
-  } else {
-    jsvm::SnapshotResult snap =
-        jsvm::capture_snapshot(interp, config_.snapshot_options);
-    payload.program = std::move(snap.program);
-    timeline_.snapshot_stats = snap.stats;
-  }
-  timeline_.capture_s = config_.profile.snapshot_capture_s(
-      timeline_.snapshot_stats.total_bytes);
+  // Offload point reached: capture the snapshot and ship it.
+  double capture_s = 0;
+  net::Message msg =
+      capture_snapshot_message(/*recapture=*/false, exec_end, capture_s);
   timeline_.offloaded = true;
-  if (obs_) {
-    // The capture is charged immediately after the front execution; its
-    // span abuts the exec span so the two tile [now, snapshot send).
-    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientCapture,
-                     "capture", "client", exec_end,
-                     exec_end + sim::SimTime::seconds(timeline_.capture_s),
-                     timeline_.capture_s);
-  }
-
-  net::Message msg;
-  msg.type = net::MessageType::kSnapshot;
-  msg.name = bundle_.name;
-  msg.payload = payload.encode();
-  timeline_.snapshot_bytes = msg.wire_size();
-
-  send_snapshot_message(std::move(msg), exec_s + timeline_.capture_s);
+  send_snapshot_message(std::move(msg), exec_s + capture_s);
 }
 
 void ClientDevice::send_snapshot_message(net::Message msg, double busy_s) {
@@ -644,46 +572,36 @@ void ClientDevice::send_snapshot_message(net::Message msg, double busy_s) {
     // must accompany the snapshot (Section III.B.1's slow path).
     const bool model_pending = !model_sent();
     send_model_files(/*count_as_presend=*/false);
+    inflight_snapshot_ = std::move(msg);
     if (config_.dedup_presend && model_pending) {
       // Dedup slow path: the offer has to resolve into an ACK (cache hit
       // or an upload of the missing files) before the snapshot can run
-      // remotely — sent now it would only bounce with "model_missing".
+      // remotely — sent now it would only bounce with kModelMissing.
       // Park it; the ACK dispatches it without counting a retry.
-      inflight_snapshot_ = std::move(msg);
       hold_snapshot_for_ack_ = true;
       if (supervising()) {
         arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-        if (config_.supervisor.hedge_after != sim::SimTime::zero() &&
-            !hedge_running_ && !hedge_timer_.valid()) {
-          hedge_timer_ = sim_.schedule(config_.supervisor.hedge_after,
-                                       [this] { start_hedge(); });
-        }
       }
-      return;
+    } else {
+      ++attempts_;
+      send_inflight("snapshot_send");
     }
-    timeline_.snapshot_sent = sim_.now();
-    inflight_snapshot_ = msg;
-    ++attempts_;
-    mark_snapshot_send(msg, "snapshot_send");
-    active_endpoint().send(std::move(msg));
-    if (supervising()) {
-      arm_upload_watchdog();
-      if (config_.supervisor.hedge_after != sim::SimTime::zero() &&
-          !hedge_running_ && !hedge_timer_.valid()) {
-        hedge_timer_ = sim_.schedule(config_.supervisor.hedge_after,
-                                     [this] { start_hedge(); });
-      }
-    }
+    if (supervising()) arm_hedge();
   });
 }
 
-void ClientDevice::dispatch_inflight_snapshot() {
-  if (!inflight_snapshot_) return;
+void ClientDevice::arm_hedge() {
+  if (config_.supervisor.hedge_after != sim::SimTime::zero() &&
+      !hedge_running_ && !hedge_timer_.valid()) {
+    hedge_timer_ = sim_.schedule(config_.supervisor.hedge_after,
+                                 [this] { start_hedge(); });
+  }
+}
+
+void ClientDevice::send_inflight(const char* label) {
   timeline_.snapshot_sent = sim_.now();
-  ++attempts_;
-  net::Message msg = *inflight_snapshot_;
-  mark_snapshot_send(msg, "snapshot_send");
-  active_endpoint().send(std::move(msg));
+  mark_snapshot_send(*inflight_snapshot_, label);
+  active_endpoint().send(*inflight_snapshot_);
   if (supervising()) arm_upload_watchdog();
 }
 
@@ -737,35 +655,37 @@ void ClientDevice::on_phase_timeout(Phase phase) {
       retry_snapshot("model pre-send deadline");
       return;
     }
-    if (presend_attempts_ >= config_.supervisor.max_attempts) {
-      OFFLOAD_LOG_WARN << "client: model pre-send abandoned after "
-                       << presend_attempts_ << " attempts";
-      return;  // inferences proceed locally until the server recovers
-    }
-    sim::SimTime wait = backoff_->delay(presend_attempts_);
-    sup_stats_.backoff_wait_s += wait.to_seconds();
-    ++sup_stats_.retries;
-    count("supervisor.retries");
-    if (obs_) {
-      // Pre-send backoffs belong to the app session, not any inference:
-      // a trace-0 marker, never a kRetryBackoff phase span.
-      obs_->trace.marker(0, 0, "presend_backoff", "client/protocol",
-                         sim_.now());
-    }
-    OFFLOAD_LOG_WARN << "client: model ACK overdue, re-sending after "
-                     << wait.str();
-    sim_.schedule(wait, [this] {
-      if (!awaiting_ack_) return;
-      ++presend_attempts_;
-      model_sent() = false;
-      send_model_files(/*count_as_presend=*/false);
-      arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-    });
+    retry_presend("model ACK overdue");
     return;
   }
   retry_snapshot(phase == Phase::kUpload     ? "upload deadline"
                  : phase == Phase::kExecute  ? "execution deadline"
                                              : "download deadline");
+}
+
+void ClientDevice::retry_presend(const char* reason) {
+  if (presend_attempts_ >= config_.supervisor.max_attempts) {
+    OFFLOAD_LOG_WARN << "client: model pre-send abandoned after "
+                     << presend_attempts_ << " attempts";
+    return;  // inferences proceed locally until the server recovers
+  }
+  sim::SimTime wait = backoff_->delay(presend_attempts_);
+  sup_stats_.backoff_wait_s += wait.to_seconds();
+  ++sup_stats_.retries;
+  count("supervisor.retries");
+  if (obs_) {
+    // Pre-send backoffs belong to the app session, not any inference:
+    // a trace-0 marker, never a kRetryBackoff phase span.
+    obs_->trace.marker(0, 0, "presend_backoff", "client/protocol",
+                       sim_.now());
+  }
+  OFFLOAD_LOG_WARN << "client: " << reason << ", re-sending after "
+                   << wait.str();
+  sim_.schedule(wait, [this] {
+    if (!awaiting_ack_) return;
+    ++presend_attempts_;
+    resend_model();
+  });
 }
 
 void ClientDevice::retry_snapshot(const char* reason) {
@@ -783,13 +703,7 @@ void ClientDevice::retry_snapshot(const char* reason) {
   }
   if (auto recut = plan_recut()) {
     if (recut->local) {
-      // The controller prices the remote side out entirely: charge the
-      // superseded decision and let the local decision govern the finish.
-      record_decision(false, (sim_.now() - timeline_.clicked).to_seconds());
-      decision_ = *recut;
-      decision_recorded_ = false;
-      count("ctrl.recuts_local");
-      abandon_remote("controller chose local");
+      choose_local(*recut);
       return;
     }
     // Re-cut after the backoff wait instead of resending the same bytes.
@@ -825,10 +739,7 @@ void ClientDevice::resend_inflight() {
   ++timeline_.retries;
   count("supervisor.retries");
   count("client.retries");
-  timeline_.snapshot_sent = sim_.now();
-  mark_snapshot_send(*inflight_snapshot_, "snapshot_resend");
-  active_endpoint().send(*inflight_snapshot_);
-  arm_upload_watchdog();
+  send_inflight("snapshot_resend");
 }
 
 void ClientDevice::record_breaker_outcome(bool success) {
@@ -858,13 +769,10 @@ std::size_t ClientDevice::next_usable_server() {
   if (candidates_.empty()) {
     for (std::size_t i = 0; i < servers_.size(); ++i) candidates_.push_back(i);
   }
-  std::size_t pos = 0;
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    if (candidates_[i] == active_server_) {
-      pos = i;
-      break;
-    }
-  }
+  const auto active =
+      std::find(candidates_.begin(), candidates_.end(), active_server_);
+  const std::size_t pos =
+      active == candidates_.end() ? 0 : active - candidates_.begin();
   for (std::size_t step = 1; step <= candidates_.size(); ++step) {
     std::size_t idx = candidates_[(pos + step) % candidates_.size()];
     if (idx == active_server_) continue;
@@ -879,23 +787,16 @@ bool ClientDevice::try_failover() {
   ++sup_stats_.failovers;
   count("supervisor.failovers");
   OFFLOAD_LOG_WARN << "client: failing over to server " << next;
-  active_server_ = next;
-  timeline_.server_index = static_cast<int>(next);
-  baseline_.reset();  // sessions do not migrate between servers
-  attempts_ = 0;      // fresh retry budget against the new server
+  switch_server(next);
   if (auto recut = plan_recut()) {
     // The failover carries a per-server cut override: the new server's
     // load (and our learned corrections for it) may favor another split.
-    if (recut->local) {
-      record_decision(false, (sim_.now() - timeline_.clicked).to_seconds());
-      decision_ = *recut;
-      decision_recorded_ = false;
-      count("ctrl.recuts_local");
-      abandon_remote("controller chose local");
-      return true;
-    }
     pending_recut_.reset();
-    perform_recut(*recut);  // resends (or recovers) with the new cut
+    if (recut->local) {
+      choose_local(*recut);
+    } else {
+      perform_recut(*recut);  // resends (or recovers) with the new cut
+    }
     return true;
   }
   if (model_sent()) {
@@ -905,6 +806,21 @@ bool ClientDevice::try_failover() {
     begin_recovery("failover");
   }
   return true;
+}
+
+void ClientDevice::supersede_decision(const ctrl::Decision& decision) {
+  // The superseded decision pays for the time burned on it so far.
+  record_decision(false, (sim_.now() - timeline_.clicked).to_seconds());
+  decision_ = decision;
+  decision_recorded_ = false;
+}
+
+void ClientDevice::choose_local(const ctrl::Decision& decision) {
+  // The controller prices the remote side out entirely: charge the
+  // superseded decision and let the local decision govern the finish.
+  supersede_decision(decision);
+  count("ctrl.recuts_local");
+  abandon_remote("controller chose local");
 }
 
 void ClientDevice::begin_recovery(const char* reason) {
@@ -923,11 +839,9 @@ void ClientDevice::begin_recovery(const char* reason) {
         std::string("recovery:") + reason, "client", sim_.now());
   }
   baseline_.reset();  // any kept session died with the server
-  model_sent() = false;
   resend_snapshot_on_ack_ = true;
   presend_attempts_ = 1;
-  send_model_files(/*count_as_presend=*/false);
-  arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
+  resend_model();
 }
 
 void ClientDevice::abandon_remote(const char* reason) {
@@ -939,16 +853,31 @@ void ClientDevice::abandon_remote(const char* reason) {
     obs_->trace.marker(trace_, root_span_, std::string("abandon:") + reason,
                        "client", sim_.now());
   }
+  end_remote_attempt(/*fell_back=*/true);
+  ignore_late_result_ = true;
+  if (hedge_running_) return;  // the running hedge is already the fallback
+  run_locally();
+}
+
+void ClientDevice::fall_back_locally(const char* reason) {
+  if (supervising()) {
+    abandon_remote(reason);
+    return;
+  }
+  end_remote_attempt(/*fell_back=*/true);
+  run_locally();
+}
+
+void ClientDevice::end_remote_attempt(bool fell_back) {
   cancel_supervision_timers();
   awaiting_result_ = false;
   inflight_snapshot_.reset();
   resend_snapshot_on_ack_ = false;
   hold_snapshot_for_ack_ = false;
-  ignore_late_result_ = true;
-  timeline_.local_fallback = true;
-  timeline_.offloaded = false;  // the result will not come from a server
-  if (hedge_running_) return;  // the running hedge is already the fallback
-  run_locally();
+  if (fell_back) {
+    timeline_.local_fallback = true;
+    timeline_.offloaded = false;  // the result never came from a server
+  }
 }
 
 void ClientDevice::start_hedge() {
@@ -997,15 +926,9 @@ void ClientDevice::finish_hedge() {
   ++sup_stats_.hedge_local_wins;
   count("supervisor.hedge_local_wins");
   timeline_.hedge_local_win = true;
-  timeline_.local_fallback = true;
-  timeline_.offloaded = false;
   record_breaker_outcome(/*success=*/false);
-  awaiting_result_ = false;
-  inflight_snapshot_.reset();
-  resend_snapshot_on_ack_ = false;
-  hold_snapshot_for_ack_ = false;
+  end_remote_attempt(/*fell_back=*/true);
   ignore_late_result_ = true;
-  cancel_supervision_timers();
   finish_trace();
 }
 
@@ -1021,22 +944,7 @@ void ClientDevice::on_delivery_failure(const net::Message& message,
     return;
   }
   if (message.type == net::MessageType::kModelFiles && awaiting_ack_) {
-    if (presend_attempts_ >= config_.supervisor.max_attempts) return;
-    sim::SimTime wait = backoff_->delay(presend_attempts_);
-    sup_stats_.backoff_wait_s += wait.to_seconds();
-    ++sup_stats_.retries;
-    count("supervisor.retries");
-    if (obs_) {
-      obs_->trace.marker(0, 0, "presend_backoff", "client/protocol",
-                         sim_.now());
-    }
-    sim_.schedule(wait, [this] {
-      if (!awaiting_ack_) return;
-      ++presend_attempts_;
-      model_sent() = false;
-      send_model_files(/*count_as_presend=*/false);
-      arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-    });
+    retry_presend("model upload undeliverable");
   }
 }
 
@@ -1088,16 +996,14 @@ void ClientDevice::on_message(const net::Message& message) {
         // The dedup pre-send resolved (cache hit or completed upload):
         // the parked snapshot goes out now, as a first send, not a retry.
         hold_snapshot_for_ack_ = false;
-        dispatch_inflight_snapshot();
+        ++attempts_;
+        send_inflight("snapshot_send");
         return;
       }
-      if (util::starts_with(message.name, "installed:") && awaiting_result_ &&
-          inflight_snapshot_) {
+      if (decode_control(message).kind == ControlKind::kInstalled &&
+          awaiting_result_ && inflight_snapshot_) {
         // Our earlier snapshot was refused pre-install; send it again.
-        timeline_.snapshot_sent = sim_.now();
-        mark_snapshot_send(*inflight_snapshot_, "snapshot_send");
-        active_endpoint().send(*inflight_snapshot_);
-        if (supervising()) arm_upload_watchdog();
+        send_inflight("snapshot_send");
       }
       return;
     }
@@ -1145,14 +1051,8 @@ void ClientDevice::on_message(const net::Message& message) {
         ++sup_stats_.hedge_remote_wins;
         count("supervisor.hedge_remote_wins");
       }
-      if (supervising()) {
-        cancel_supervision_timers();
-        record_breaker_outcome(/*success=*/true);
-      }
-      awaiting_result_ = false;
-      inflight_snapshot_.reset();
-      resend_snapshot_on_ack_ = false;
-      hold_snapshot_for_ack_ = false;
+      if (supervising()) record_breaker_outcome(/*success=*/true);
+      end_remote_attempt(/*fell_back=*/false);
       timeline_.result_received = sim_.now();
       // Adopt the new execution state on a fresh page (the snapshot is a
       // self-contained app).
@@ -1182,233 +1082,184 @@ void ClientDevice::on_message(const net::Message& message) {
       finish_trace();
       return;
     }
-    case net::MessageType::kControl: {
-      if (util::starts_with(message.name, "accepted:") && awaiting_result_) {
-        // Upload phase done; the execution clock starts. With the
-        // controller on, the receipt doubles as a per-attempt upload
-        // bandwidth observation (gated so the static path's estimator
-        // state stays bit-identical to the paper reproduction).
-        if (controller_active() && timeline_.snapshot_sent &&
-            timeline_.snapshot_bytes > 0) {
-          bandwidth_.observe(timeline_.snapshot_bytes,
-                             sim_.now() - *timeline_.snapshot_sent);
-        }
-        if (supervising()) {
-          arm_phase(Phase::kExecute, config_.supervisor.execute_deadline);
-        }
-        return;
-      }
-      if (util::starts_with(message.name, "done:") && awaiting_result_) {
-        // Execution phase done; only the download remains.
-        if (supervising()) {
-          arm_phase(Phase::kDownload, config_.supervisor.download_deadline);
-        }
-        return;
-      }
-      if (util::starts_with(message.name, "need_full") && awaiting_result_) {
-        if (hedge_running_) {
-          // The realm already ran the handler locally — we cannot
-          // recapture it. Let the hedge finish the inference.
-          abandon_remote("session lost during hedge");
-          return;
-        }
-        // The server lost (or never had) our differential baseline: the
-        // realm is untouched since capture, so take a full snapshot and
-        // retry.
-        OFFLOAD_LOG_INFO << "client: server needs a full snapshot, resending";
-        jsvm::SnapshotResult snap =
-            jsvm::capture_snapshot(browser_->interp(),
-                                   config_.snapshot_options);
-        SnapshotPayload payload;
-        payload.cut = timeline_.used_partition_cut == SIZE_MAX
-                          ? UINT64_MAX
-                          : timeline_.used_partition_cut;
-        payload.program = std::move(snap.program);
-        timeline_.snapshot_stats = snap.stats;
-        timeline_.used_differential = false;
-        net::Message msg;
-        msg.type = net::MessageType::kSnapshot;
-        msg.name = bundle_.name;
-        msg.payload = payload.encode();
-        timeline_.snapshot_bytes = msg.wire_size();
-        double recapture_s = config_.profile.snapshot_capture_s(
-            snap.stats.total_bytes);
-        timeline_.capture_s += recapture_s;
-        if (obs_) {
-          obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientCapture,
-                           "recapture", "client", sim_.now(),
-                           sim_.now() + sim::SimTime::seconds(recapture_s),
-                           recapture_s);
-          obs_->metrics.add("client.recaptures");
-        }
-        awaiting_result_ = false;  // send_snapshot_message re-arms it
-        send_snapshot_message(std::move(msg), recapture_s);
-        return;
-      }
-      if (util::starts_with(message.name, "redirect:") && awaiting_result_) {
-        // The server is draining its queue (tier migration): it names a
-        // peer that should finish this inference. Our session realm did
-        // not travel — the peer gets a fresh model push and a replayed
-        // self-contained snapshot; the redirect is just a failover whose
-        // target the server chose for us.
-        std::size_t target = servers_.size();
-        const std::string name = message.name.substr(9);
-        std::size_t colon = name.find(':');
-        if (colon != std::string::npos) {
-          target = static_cast<std::size_t>(
-              std::strtoul(name.substr(0, colon).c_str(), nullptr, 10));
-        }
-        if (supervising() && inflight_snapshot_) {
-          cancel_phase_timer();
-          if (target < servers_.size() && target != active_server_ &&
-              breakers_[target].allow(sim_.now())) {
-            OFFLOAD_LOG_INFO << "client: server redirected us to server "
-                             << target;
-            ++sup_stats_.redirects;
-            count("supervisor.redirects");
-            active_server_ = target;
-            timeline_.server_index = static_cast<int>(target);
-            baseline_.reset();  // sessions do not migrate between servers
-            attempts_ = 0;      // fresh retry budget against the target
-            if (model_sent()) {
-              resend_inflight();
-            } else {
-              begin_recovery("redirect");
-            }
-            return;
-          }
-          // The named target is unusable (bad index, open breaker): fall
-          // into the ordinary retry/failover policy instead.
-          retry_snapshot("redirect to unusable server");
-          return;
-        }
-        OFFLOAD_LOG_WARN << "client: redirected without a usable inflight "
-                            "snapshot, falling back locally";
-        if (supervising()) {
-          abandon_remote("redirect without snapshot");
-          return;
-        }
-        awaiting_result_ = false;
-        inflight_snapshot_.reset();
-        timeline_.local_fallback = true;
-        timeline_.offloaded = false;
-        run_locally();
-        return;
-      }
-      if ((util::starts_with(message.name, "overloaded") ||
-           util::starts_with(message.name, "expired:")) &&
-          awaiting_result_) {
-        // The server shed our request (admission queue full) or expired
-        // it past its queue deadline. The realm is untouched since
-        // capture — the offloaded event is still at the queue front — so
-        // finish this inference locally.
-        OFFLOAD_LOG_INFO << "client: server "
-                         << (message.name[0] == 'o' ? "overloaded"
-                                                    : "expired the request")
-                         << ", falling back to local execution";
-        if (supervising()) {
-          abandon_remote(message.name[0] == 'o' ? "server overloaded"
-                                                : "server queue deadline");
-          return;
-        }
-        awaiting_result_ = false;
-        inflight_snapshot_.reset();
-        timeline_.local_fallback = true;
-        timeline_.offloaded = false;  // the result never came from the server
-        run_locally();
-        return;
-      }
-      if (util::starts_with(message.name, "model_missing:") &&
-          awaiting_result_) {
-        // The server cannot run our app: its model store has no entry —
-        // the signature of a crashed-and-restarted server (or a never
-        // pre-sent model). Supervised clients re-presend and replay;
-        // others fall back locally rather than hang.
-        if (supervising() && inflight_snapshot_) {
-          cancel_phase_timer();
-          begin_recovery("server lost the model");
-          return;
-        }
-        OFFLOAD_LOG_WARN << "client: server has no model for '"
-                         << bundle_.name << "', falling back locally";
-        if (supervising()) {
-          abandon_remote("server lost the model");
-          return;
-        }
-        awaiting_result_ = false;
-        inflight_snapshot_.reset();
-        timeline_.local_fallback = true;
-        timeline_.offloaded = false;
-        run_locally();
-        return;
-      }
-      if (util::starts_with(message.name, "send_files:")) {
-        // The server's blob cache missed part (or all) of our offer; it
-        // wants those files uploaded in full.
-        if (!payload_intact(message)) {
-          // The request list itself was damaged in flight: restart the
-          // exchange with a fresh offer.
-          if (!supervising()) throw PayloadCorruptError(message);
-          record_breaker_outcome(/*success=*/false);
-          model_sent() = false;
-          send_model_files(/*count_as_presend=*/false);
-          arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-          return;
-        }
-        send_requested_files(
-            FileListPayload::decode(std::span(message.payload)));
-        return;
-      }
-      if (util::starts_with(message.name, "corrupt_payload:")) {
-        // The server rejected our bytes (CRC mismatch). Re-send whatever
-        // was in flight toward it — unless the snapshot is still parked
-        // on the dedup pre-send, in which case the damaged bytes were the
-        // offer/upload and the model branch below restarts it.
-        if (awaiting_result_ && inflight_snapshot_ &&
-            !hold_snapshot_for_ack_) {
-          if (supervising()) {
-            record_breaker_outcome(/*success=*/false);
-            retry_snapshot("server rejected corrupt payload");
-          } else {
-            OFFLOAD_LOG_WARN << "client: snapshot corrupted in flight, "
-                                "re-sending";
-            ++timeline_.retries;
-            count("client.retries");
-            timeline_.snapshot_sent = sim_.now();
-            mark_snapshot_send(*inflight_snapshot_, "snapshot_resend");
-            active_endpoint().send(*inflight_snapshot_);
-          }
-          return;
-        }
-        if (awaiting_ack_ || !timeline_.ack_received) {
-          OFFLOAD_LOG_WARN << "client: model upload corrupted in flight, "
-                              "re-sending";
-          model_sent() = false;
-          send_model_files(/*count_as_presend=*/false);
-          if (supervising()) {
-            ++sup_stats_.retries;
-            arm_phase(Phase::kPresend, config_.supervisor.presend_deadline);
-          }
-        }
-        return;
-      }
-      if (util::starts_with(message.name, "not_installed")) {
-        if (config_.install_on_demand && !overlay_sent_) {
-          OFFLOAD_LOG_INFO << "client: server lacks offloading system, "
-                              "sending VM overlay";
-          overlay_sent_ = true;
-          model_sent() = false;  // the refused upload never landed
-          send_overlay();
-        } else if (!config_.install_on_demand) {
-          OFFLOAD_LOG_WARN << "client: server not installed and on-demand "
-                              "installation disabled";
-        }
-      }
+    case net::MessageType::kControl:
+      on_control(message);
       return;
-    }
     default:
       OFFLOAD_LOG_WARN << "client: unexpected message type "
                        << net::message_type_name(message.type);
+  }
+}
+
+void ClientDevice::on_control(const net::Message& message) {
+  const Control control = decode_control(message);
+  switch (control.kind) {
+    case ControlKind::kAccepted:
+      if (!awaiting_result_) return;
+      // Upload phase done; the execution clock starts. With the
+      // controller on, the receipt doubles as a per-attempt upload
+      // bandwidth observation (gated so the static path's estimator
+      // state stays bit-identical to the paper reproduction).
+      if (controller_active() && timeline_.snapshot_sent &&
+          timeline_.snapshot_bytes > 0) {
+        bandwidth_.observe(timeline_.snapshot_bytes,
+                           sim_.now() - *timeline_.snapshot_sent);
+      }
+      if (supervising()) {
+        arm_phase(Phase::kExecute, config_.supervisor.execute_deadline);
+      }
+      return;
+    case ControlKind::kDone:
+      // Execution phase done; only the download remains.
+      if (awaiting_result_ && supervising()) {
+        arm_phase(Phase::kDownload, config_.supervisor.download_deadline);
+      }
+      return;
+    case ControlKind::kNeedFull: {
+      if (!awaiting_result_) return;
+      if (hedge_running_) {
+        // The realm already ran the handler locally — we cannot
+        // recapture it. Let the hedge finish the inference.
+        abandon_remote("session lost during hedge");
+        return;
+      }
+      // The server lost (or never had) our differential baseline: the
+      // realm is untouched since capture, so take a full snapshot and
+      // retry.
+      OFFLOAD_LOG_INFO << "client: server needs a full snapshot, resending";
+      double recapture_s = 0;
+      net::Message msg =
+          capture_snapshot_message(/*recapture=*/true, sim_.now(),
+                                   recapture_s);
+      awaiting_result_ = false;  // send_snapshot_message re-arms it
+      send_snapshot_message(std::move(msg), recapture_s);
+      return;
+    }
+    case ControlKind::kRedirect:
+      if (!awaiting_result_) return;
+      // The server is draining its queue (tier migration): it names a
+      // peer that should finish this inference. Our session realm did not
+      // travel — the peer gets a fresh model push and a replayed
+      // self-contained snapshot; the redirect is just a failover whose
+      // target the server chose for us.
+      if (supervising() && inflight_snapshot_) {
+        cancel_phase_timer();
+        const std::optional<std::size_t> target = control.target;
+        if (target && *target < servers_.size() &&
+            *target != active_server_ &&
+            breakers_[*target].allow(sim_.now())) {
+          OFFLOAD_LOG_INFO << "client: server redirected us to server "
+                           << *target;
+          ++sup_stats_.redirects;
+          count("supervisor.redirects");
+          switch_server(*target);
+          if (model_sent()) {
+            resend_inflight();
+          } else {
+            begin_recovery("redirect");
+          }
+          return;
+        }
+        // The named target is unusable (missing or malformed, bad index,
+        // open breaker): fall into the ordinary retry/failover policy.
+        retry_snapshot("redirect to unusable server");
+        return;
+      }
+      OFFLOAD_LOG_WARN << "client: redirected without a usable inflight "
+                          "snapshot, falling back locally";
+      fall_back_locally("redirect without snapshot");
+      return;
+    case ControlKind::kOverloaded:
+    case ControlKind::kExpired: {
+      if (!awaiting_result_) return;
+      // The server shed our request (admission queue full) or expired it
+      // past its queue deadline. The realm is untouched since capture —
+      // the offloaded event is still at the queue front — so finish this
+      // inference locally.
+      const bool shed = control.kind == ControlKind::kOverloaded;
+      OFFLOAD_LOG_INFO << "client: server "
+                       << (shed ? "overloaded" : "expired the request")
+                       << ", falling back to local execution";
+      fall_back_locally(shed ? "server overloaded" : "server queue deadline");
+      return;
+    }
+    case ControlKind::kRejected:
+      if (!awaiting_result_) return;
+      // Our own snapshot failed on a healthy server: resending the same
+      // bytes fails again, so no retry and no breaker failure.
+      OFFLOAD_LOG_WARN << "client: server rejected the snapshot, falling "
+                          "back to local execution";
+      fall_back_locally("server rejected the snapshot");
+      return;
+    case ControlKind::kModelMissing:
+      if (!awaiting_result_) return;
+      // The server cannot run our app: its model store has no entry —
+      // the signature of a crashed-and-restarted server (or a never
+      // pre-sent model). Supervised clients re-presend and replay;
+      // others fall back locally rather than hang.
+      if (supervising() && inflight_snapshot_) {
+        cancel_phase_timer();
+        begin_recovery("server lost the model");
+        return;
+      }
+      OFFLOAD_LOG_WARN << "client: server has no model for '" << bundle_.name
+                       << "', falling back locally";
+      fall_back_locally("server lost the model");
+      return;
+    case ControlKind::kSendFiles:
+      // The server's blob cache missed part (or all) of our offer; it
+      // wants those files uploaded in full.
+      if (!payload_intact(message)) {
+        // The request list itself was damaged in flight: restart the
+        // exchange with a fresh offer.
+        if (!supervising()) throw PayloadCorruptError(message);
+        record_breaker_outcome(/*success=*/false);
+        resend_model();
+        return;
+      }
+      send_requested_files(FileListPayload::decode(std::span(message.payload)));
+      return;
+    case ControlKind::kCorruptPayload:
+      // The server rejected our bytes (CRC mismatch). Re-send whatever was
+      // in flight toward it — unless the snapshot is still parked on the
+      // dedup pre-send, in which case the damaged bytes were the
+      // offer/upload and the model branch below restarts it.
+      if (awaiting_result_ && inflight_snapshot_ && !hold_snapshot_for_ack_) {
+        if (supervising()) {
+          record_breaker_outcome(/*success=*/false);
+          retry_snapshot("server rejected corrupt payload");
+        } else {
+          OFFLOAD_LOG_WARN << "client: snapshot corrupted in flight, "
+                              "re-sending";
+          ++timeline_.retries;
+          count("client.retries");
+          send_inflight("snapshot_resend");
+        }
+        return;
+      }
+      if (awaiting_ack_ || !timeline_.ack_received) {
+        OFFLOAD_LOG_WARN << "client: model upload corrupted in flight, "
+                            "re-sending";
+        resend_model();
+        if (supervising()) ++sup_stats_.retries;
+      }
+      return;
+    case ControlKind::kNotInstalled:
+      if (config_.install_on_demand && !overlay_sent_) {
+        OFFLOAD_LOG_INFO << "client: server lacks offloading system, "
+                            "sending VM overlay";
+        overlay_sent_ = true;
+        model_sent() = false;  // the refused upload never landed
+        send_overlay();
+      } else if (!config_.install_on_demand) {
+        OFFLOAD_LOG_WARN << "client: server not installed and on-demand "
+                            "installation disabled";
+      }
+      return;
+    case ControlKind::kHave:  // ACK variants never decode from kControl
+    case ControlKind::kInstalled:
+    case ControlKind::kUnknown:
+      return;
   }
 }
 

@@ -12,8 +12,8 @@
 // breaker that fails over along an ordered server candidate list
 // (attach_server — snapshots are self-contained, so migration is just
 // re-targeting), and crash recovery (a restarted server answers
-// "model_missing"/"need_full"; the supervisor re-presends and retries).
-// Disabled, the client behaves exactly as before.
+// ControlKind::kModelMissing/kNeedFull; the supervisor re-presends and
+// retries). Disabled, the client behaves exactly as before.
 #pragma once
 
 #include <cstdint>
@@ -136,8 +136,8 @@ struct ClientTimeline {
   std::optional<sim::SimTime> finished;
   bool offloaded = false;
   /// This inference ran locally — either the model ACK was still pending,
-  /// or the server shed the request ("overloaded:" control reply), or the
-  /// supervisor gave up on the remote side.
+  /// or the server sent a final verdict (kOverloaded, kExpired, kRejected),
+  /// or the supervisor gave up on the remote side.
   bool local_fallback = false;
   /// This inference shipped a differential snapshot.
   bool used_differential = false;
@@ -219,22 +219,41 @@ class ClientDevice {
   enum class Phase { kIdle, kPresend, kUpload, kExecute, kDownload };
 
   void on_message(const net::Message& message);
+  /// The kControl replies: one exhaustive switch over ControlKind.
+  void on_control(const net::Message& message);
   void begin_inference();
   void run_app_events();
   void run_locally();
+  /// Run queued events (deferring the offload event if asked), charge
+  /// their compute and emit exec span `label`. Returns the seconds.
+  double run_events_charged(bool defer_offload, const char* label);
+  /// Capture the realm into a kSnapshot message (diffed unless a
+  /// `recapture`) with its span from `from`; `capture_s` gets the charge.
+  net::Message capture_snapshot_message(bool recapture, sim::SimTime from,
+                                        double& capture_s);
   void send_snapshot_message(net::Message msg, double busy_s);
   void send_model_files(bool count_as_presend);
   void send_model_offer(bool count_as_presend);
+  /// A message of `type` named after the app.
+  net::Message app_message(net::MessageType type, util::Bytes payload) const;
+  /// Re-send the model toward a fresh ACK, under the pre-send deadline.
+  void resend_model(bool count_as_presend = false);
+  void send_presend(net::Message msg, bool count_as_presend,
+                    const char* label, const char* metric);
+  void open_presend_span(net::Message& msg, const char* label,
+                         const char* metric);
   void send_requested_files(const FileListPayload& request);
   void send_overlay();
-  /// First (non-retry) send of the held in-flight snapshot: used when a
-  /// dedup pre-send resolves and the snapshot that waited on it goes out.
-  void dispatch_inflight_snapshot();
+  /// (Re)send the in-flight snapshot under a fresh transmit-up span.
+  void send_inflight(const char* label);
   /// The pre-send bundle: the full files held in the local store, or a
   /// rear-only bundle encoded into `rear` (which the result then views).
   std::span<const nn::ModelFile> files_to_send(
       std::vector<nn::ModelFile>& rear) const;
   std::size_t pick_partition_cut();
+  void ensure_cost_models();
+  /// Set the app's cut; `local` keeps a valid cut and marks a fallback.
+  void apply_cut(bool local, std::size_t cut);
 
   // --- Partition controller (all no-ops under the static policy) ---
   /// The controller governs this client: adaptive policy, offloading
@@ -251,8 +270,14 @@ class ClientDevice {
   /// Make the per-inference decision for the upcoming click and apply it
   /// (cut, or local fallback). Emits a kCtrlDecision span.
   void apply_decision(ctrl::Decision decision, const char* origin);
+  /// The kCtrlDecision span `label` (with the `local` attr if asked).
+  void emit_decision_span(const std::string& label,
+                          const ctrl::Decision& decision, bool with_local);
   /// Close the loop: report the active decision's outcome once.
   void record_decision(bool ok, double observed_s);
+  /// Charge the active decision as failed and adopt `decision`.
+  void supersede_decision(const ctrl::Decision& decision);
+  void choose_local(const ctrl::Decision& decision);
   /// Re-decide after `attempts_` failed sends; nullopt = keep retrying the
   /// current cut (controller inactive, hedge running, or nothing useful).
   std::optional<ctrl::Decision> plan_recut();
@@ -262,6 +287,8 @@ class ClientDevice {
   /// Apply the routing hook (if any) for the upcoming inference: refresh
   /// the candidate order and re-pin the active server to its head.
   void apply_route();
+  /// Activate server `index` (no shared baseline, fresh retry budget).
+  void switch_server(std::size_t index);
   /// Fire the on_inference_done hook (once per inference).
   void notify_done();
 
@@ -286,7 +313,9 @@ class ClientDevice {
   void arm_upload_watchdog();
   void cancel_phase_timer();
   void cancel_supervision_timers();
+  void arm_hedge();
   void on_phase_timeout(Phase phase);
+  void retry_presend(const char* reason);
   /// Funnel for every retryable remote failure: backoff + resend, fail
   /// over, or abandon to local execution.
   void retry_snapshot(const char* reason);
@@ -297,6 +326,11 @@ class ClientDevice {
   void begin_recovery(const char* reason);
   /// Give up on the remote side and finish this inference locally.
   void abandon_remote(const char* reason);
+  /// After a server's final verdict: abandon_remote, or run locally.
+  void fall_back_locally(const char* reason);
+  /// Forget the in-flight offload and its timers; `fell_back` marks the
+  /// inference as finished locally.
+  void end_remote_attempt(bool fell_back);
   void start_hedge();
   void finish_hedge();
   void on_delivery_failure(const net::Message& message, int attempts);

@@ -2,6 +2,7 @@
 
 #include "src/jsvm/fingerprint.h"
 #include "src/jsvm/interpreter.h"
+#include "src/jsvm/lexer.h"
 #include "src/nn/kernels.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
@@ -77,13 +78,9 @@ void EdgeServer::schedule_stall(sim::SimTime at, sim::SimTime duration) {
   });
 }
 
-void EdgeServer::send_control(net::Endpoint& to, const std::string& name,
-                              util::Bytes payload) {
-  net::Message reply;
-  reply.type = net::MessageType::kControl;
-  reply.name = name;
-  reply.payload = std::move(payload);
-  to.send(std::move(reply));
+void EdgeServer::send_control(net::Endpoint& to, ControlKind kind,
+                              const std::string& app, util::Bytes payload) {
+  to.send(encode_control({kind, app, std::nullopt}, std::move(payload)));
 }
 
 void EdgeServer::on_message(net::Endpoint& from, const net::Message& message) {
@@ -116,7 +113,7 @@ void EdgeServer::on_message(net::Endpoint& from, const net::Message& message) {
     OFFLOAD_LOG_WARN << "edge server: CRC mismatch on "
                      << net::message_type_name(message.type) << " '"
                      << message.name << "', rejecting";
-    send_control(from, "corrupt_payload:" + message.name);
+    send_control(from, ControlKind::kCorruptPayload, message.name);
     return;
   }
   switch (message.type) {
@@ -144,7 +141,7 @@ void EdgeServer::on_message(net::Endpoint& from, const net::Message& message) {
 void EdgeServer::refuse(net::Endpoint& from, const net::Message& message) {
   ++stats_.refused;
   count("refused");
-  send_control(from, "not_installed:" + message.name);
+  send_control(from, ControlKind::kNotInstalled, message.name);
 }
 
 void EdgeServer::handle_model_files(net::Endpoint& from,
@@ -221,15 +218,12 @@ void EdgeServer::handle_model_offer(net::Endpoint& from,
       config_.obs->trace.marker(0, 0, "dedup_hit:" + message.name,
                                 config_.obs_name, sim_.now());
     }
-    net::Message ack;
-    ack.type = net::MessageType::kAck;
-    ack.name = "have:" + message.name;
-    from.send(std::move(ack));
+    send_control(from, ControlKind::kHave, message.name);
     return;
   }
   // Ask for just the files we lack; handle_model_files stores them (and
   // their blobs) and sends the normal post-store ACK.
-  send_control(from, "send_files:" + message.name, missing.encode());
+  send_control(from, ControlKind::kSendFiles, message.name, missing.encode());
 }
 
 bool EdgeServer::try_escalate(net::Endpoint& from, const std::string& app,
@@ -261,13 +255,13 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
   if (!scheduler_->would_admit()) {
     // Overloaded. First offer the job up-tier: the topology (when
     // attached) executes it on the cloud and replies through this
-    // endpoint, so the client just sees a slower "accepted:" → result.
+    // endpoint, so the client just sees a slower kAccepted → result.
     if (try_escalate(from, message.name, message.payload, message.ctx,
                      "overloaded")) {
       if (config_.ack_snapshots) {
         // The admission receipt still comes from here — the supervising
         // client's upload deadline must not fire while the job climbs.
-        send_control(from, "accepted:" + message.name);
+        send_control(from, ControlKind::kAccepted, message.name);
       }
       return;
     }
@@ -282,7 +276,7 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
                                 "shed:overloaded",
                                 config_.obs_name + "/queue", sim_.now());
     }
-    send_control(from, "overloaded:" + message.name);
+    send_control(from, ControlKind::kOverloaded, message.name);
     return;
   }
 
@@ -295,7 +289,7 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
   if (config_.ack_snapshots) {
     // Admission receipt: lets a supervising client split its upload
     // deadline from the (queue + execution) deadline.
-    send_control(from, "accepted:" + message.name);
+    send_control(from, ControlKind::kAccepted, message.name);
   }
 
   try {
@@ -314,7 +308,7 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
                                     "need_full", config_.obs_name,
                                     sim_.now());
         }
-        send_control(from, "need_full:" + message.name);
+        send_control(from, ControlKind::kNeedFull, message.name);
         return;
       }
       browser_ = std::move(it->second.browser);
@@ -360,10 +354,14 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
       OFFLOAD_LOG_WARN << "edge server: no model for '" << message.name
                        << "', requesting re-presend";
       browser_.reset();
-      send_control(from, "model_missing:" + message.name);
+      send_control(from, ControlKind::kModelMissing, message.name);
       return;
     }
-    throw;  // genuine script failure: surface it
+    return reject_snapshot(from, message);
+  } catch (const jsvm::ParseError&) {
+    return reject_snapshot(from, message);
+  } catch (const InvalidCutError&) {
+    return reject_snapshot(from, message);
   }
   record.execute_s = browser_->consume_compute_seconds();
 
@@ -458,14 +456,16 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
               "reply:" + reply.name, config_.obs_name + "/net", sim_.now());
           reply.ctx = {ctx.trace, down, ctx.root};
         }
-        if (config_.ack_snapshots) send_control(from, "done:" + reply.name);
+        if (config_.ack_snapshots) {
+          send_control(from, ControlKind::kDone, reply.name);
+        }
         from.send(std::move(reply));
       },
       deadline,
       [this, &from, app, epoch, ctx, id_box](const serve::RequestTiming&) {
         if (epoch != boot_epoch_) return;
         // Queued too long. A job that can run elsewhere gets one more
-        // chance up-tier before the client hears "expired:".
+        // chance up-tier before the client hears kExpired.
         util::Bytes payload;
         if (auto it = migratable_.find(*id_box); it != migratable_.end()) {
           payload = std::move(it->second.payload);
@@ -478,7 +478,7 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
         // Deadline-aware cancellation: the client hears why, so it can
         // fall back locally instead of waiting forever.
         ++stats_.jobs_expired;
-        send_control(from, "expired:" + app);
+        send_control(from, ControlKind::kExpired, app);
       },
       ctx);
   if (submitted.admitted) {
@@ -495,6 +495,24 @@ void EdgeServer::handle_snapshot(net::Endpoint& from,
     migratable_.emplace(submitted.id, std::move(job));
     if (on_admit_) on_admit_();
   }
+}
+
+void EdgeServer::reject_snapshot(net::Endpoint& from,
+                                 const net::Message& message) {
+  // The client's own snapshot is at fault (it does not parse, nests past
+  // the parser's cap, throws, or names a cut its model does not have):
+  // resending the same bytes fails again, so the client hears a final
+  // verdict and this server keeps serving.
+  ++stats_.snapshots_rejected;
+  count("snapshots_rejected");
+  if (config_.obs) {
+    config_.obs->trace.marker(message.ctx.trace, message.ctx.root, "rejected",
+                              config_.obs_name, sim_.now());
+  }
+  OFFLOAD_LOG_WARN << "edge server: snapshot for '" << message.name
+                   << "' failed to run, rejecting";
+  browser_.reset();
+  send_control(from, ControlKind::kRejected, message.name);
 }
 
 std::optional<EdgeServer::MigratableJob> EdgeServer::steal_job(
@@ -546,10 +564,7 @@ void EdgeServer::handle_overlay(net::Endpoint& from,
   const std::uint64_t epoch = boot_epoch_;
   sim_.schedule(sim::SimTime::seconds(synth_s), [this, &from, app, epoch] {
     if (epoch != boot_epoch_) return;
-    net::Message ack;
-    ack.type = net::MessageType::kAck;
-    ack.name = "installed:" + app;
-    from.send(std::move(ack));
+    send_control(from, ControlKind::kInstalled, app);
   });
 }
 

@@ -13,9 +13,10 @@
 // differential-snapshot session cache, and every in-flight execution — and
 // *stall*, deferring message processing for a stretch of simulated time.
 // A restarted server is detected by clients through the existing
-// handshakes: differential snapshots miss their base version ("need_full")
-// and snapshots whose model was wiped get a "model_missing" reply, which
-// the offload supervisor answers by re-pre-sending the model.
+// handshakes: differential snapshots miss their base version (kNeedFull)
+// and snapshots whose model was wiped get kModelMissing, which the offload
+// supervisor answers by re-pre-sending the model. A snapshot that fails to
+// parse or run for any other reason gets kRejected.
 #pragma once
 
 #include <cstdint>
@@ -40,20 +41,20 @@ struct EdgeServerConfig {
   nn::DeviceProfile profile = nn::DeviceProfile::edge_server();
   /// Whether the offloading system (browser + server program + libs) is
   /// already installed. When false, model/snapshot messages are refused
-  /// with a "not_installed" control reply until a VM overlay arrives.
+  /// with a kNotInstalled control reply until a VM overlay arrives.
   bool offloading_system_installed = true;
   /// Disk rate for persisting pre-sent model files (affects ACK time).
   double store_Bps = 400e6;
   /// Keep per-app session realms so repeat offloads can send differential
   /// snapshots (the paper's Section VI future work).
   bool keep_sessions = true;
-  /// Send "accepted:" when a snapshot is admitted and "done:" when its
+  /// Send kAccepted when a snapshot is admitted and kDone when its
   /// execution completes (just before the result), so a supervising
   /// client can watch per-phase deadlines. Off by default: the degenerate
   /// protocol stays byte-identical to the paper runs.
   bool ack_snapshots = false;
   /// Queued snapshot executions are cancelled if still waiting for a lane
-  /// this long after arrival; the client gets an "expired:" control reply
+  /// this long after arrival; the client gets a kExpired control reply
   /// (deadline-aware cancellation in the serving scheduler). Zero = never.
   sim::SimTime queue_deadline = sim::SimTime::zero();
   jsvm::SnapshotOptions snapshot_options;
@@ -165,7 +166,7 @@ class EdgeServer {
   bool installed() const { return config_.offloading_system_installed; }
   /// True while crashed (between a crash and its restart).
   bool down() const { return down_; }
-  /// Whether this server sends "accepted:"/"done:" receipts (tier relays
+  /// Whether this server sends kAccepted/kDone receipts (tier relays
   /// mirror the origin's receipt behavior toward the client).
   bool acks() const { return config_.ack_snapshots; }
   /// Crash counter; work captured under an older epoch must stay silent.
@@ -190,6 +191,7 @@ class EdgeServer {
     int stalled_messages = 0;     ///< arrivals deferred by a stall
     int corrupt_rejected = 0;     ///< payload CRC mismatches rejected
     int model_missing_replies = 0;
+    int snapshots_rejected = 0;   ///< snapshots that failed to parse or run
     int jobs_expired = 0;         ///< queue-deadline cancellations
     int snapshots_escalated = 0;  ///< jobs handed up-tier instead of shed
     int jobs_migrated = 0;        ///< queued jobs withdrawn via steal_job()
@@ -222,14 +224,16 @@ class EdgeServer {
   void handle_snapshot(net::Endpoint& from, const net::Message& message);
   void handle_overlay(net::Endpoint& from, const net::Message& message);
   void refuse(net::Endpoint& from, const net::Message& message);
+  /// kRejected for a snapshot whose program failed (no missing model).
+  void reject_snapshot(net::Endpoint& from, const net::Message& message);
   /// Offer a would-be-shed/expired job to the escalation handler. True =
   /// the handler took it (stats and marker recorded); the caller must not
   /// shed or reply.
   bool try_escalate(net::Endpoint& from, const std::string& app,
                     util::Bytes payload, obs::TraceContext ctx,
                     const char* reason);
-  void send_control(net::Endpoint& to, const std::string& name,
-                    util::Bytes payload = {});
+  void send_control(net::Endpoint& to, ControlKind kind,
+                    const std::string& app, util::Bytes payload = {});
   std::unique_ptr<serve::Scheduler> make_scheduler() const;
   /// Bump the counter "<obs_name>.<key>" if an obs sink is attached.
   void count(const char* key) {

@@ -1,8 +1,80 @@
 #include "src/edge/protocol.h"
 
+#include <charconv>
+#include <string_view>
+#include <iterator>
+#include <utility>
+
 #include "src/util/crc32.h"
 
 namespace offload::edge {
+
+namespace {
+
+/// The one name table, indexed by ControlKind: encode and decode both read
+/// it, so a kind's wire bytes cannot drift between sender and receiver.
+constexpr std::string_view kNames[] = {
+    "",  // kUnknown: no wire name
+    "accepted", "done", "overloaded", "expired", "need_full",
+    "model_missing", "send_files", "corrupt_payload", "not_installed",
+    "redirect", "rejected", "have", "installed",
+};
+static_assert(std::size(kNames) ==
+              static_cast<std::size_t>(ControlKind::kInstalled) + 1);
+
+net::MessageType message_type_of(ControlKind kind) {
+  return kind == ControlKind::kHave || kind == ControlKind::kInstalled
+             ? net::MessageType::kAck
+             : net::MessageType::kControl;
+}
+
+}  // namespace
+
+net::Message encode_control(const Control& control, util::Bytes body) {
+  if (control.kind == ControlKind::kUnknown ||
+      (control.kind == ControlKind::kRedirect && !control.target)) {
+    throw std::invalid_argument("encode_control: no wire name");
+  }
+  net::Message msg;
+  msg.type = message_type_of(control.kind);
+  msg.name = std::string(kNames[static_cast<std::size_t>(control.kind)]);
+  msg.name += ":";
+  if (control.kind == ControlKind::kRedirect) {
+    msg.name += std::to_string(*control.target) + ":";
+  }
+  msg.name += control.app;
+  msg.payload = std::move(body);
+  return msg;
+}
+
+Control decode_control(const net::Message& message) {
+  Control out;
+  const std::string_view name = message.name;
+  const std::size_t colon = name.find(':');
+  if (colon == std::string_view::npos) return out;
+  for (std::size_t k = 1; k < std::size(kNames); ++k) {
+    const auto kind = static_cast<ControlKind>(k);
+    if (kNames[k] != name.substr(0, colon) ||
+        message_type_of(kind) != message.type) {
+      continue;
+    }
+    out.kind = kind;
+    std::string_view rest = name.substr(colon + 1);
+    const std::size_t sep = rest.find(':');
+    if (kind == ControlKind::kRedirect && sep != std::string_view::npos) {
+      // "<target>:<app>": a target that is not a plain decimal size_t
+      // (empty, signed, trailing bytes, overflow) decodes as unset.
+      std::size_t target = 0;
+      const char* end = rest.data() + sep;
+      const auto [ptr, ec] = std::from_chars(rest.data(), end, target);
+      if (sep > 0 && ec == std::errc() && ptr == end) out.target = target;
+      rest = rest.substr(sep + 1);
+    }
+    out.app = std::string(rest);
+    break;
+  }
+  return out;
+}
 
 PayloadCorruptError::PayloadCorruptError(const net::Message& message)
     : std::runtime_error(std::string("corrupt payload in ") +

@@ -1,8 +1,11 @@
 // Payload codecs for the offloading protocol messages. Wire framing (type,
-// name, checksum) lives in net::Message; these encode the bodies.
+// name, checksum) lives in net::Message; these encode the bodies, and the
+// control-name codec below encodes the typed replies that travel in the
+// message name ("overloaded:<app>", "redirect:<target>:<app>", ...).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +30,47 @@ bool payload_intact(const net::Message& message);
 /// endpoint calls this before decoding a payload-bearing message, so
 /// corruption is rejected instead of silently accepted.
 void verify_payload(const net::Message& message);
+
+/// Every typed reply the edge protocol carries in a message name. The
+/// kControl kinds travel as "<name>:<app>"; kHave and kInstalled are the
+/// two prefixed kAck variants (a plain post-store ACK is named just
+/// "<app>" and decodes to kUnknown). kRedirect carries a server index:
+/// "redirect:<target>:<app>".
+enum class ControlKind : std::uint8_t {
+  kUnknown,         ///< unparseable, unprefixed, or an unknown prefix
+  kAccepted,        ///< snapshot admitted: the upload phase is over
+  kDone,            ///< execution finished: only the download remains
+  kOverloaded,      ///< shed at admission (queue full)
+  kExpired,         ///< cancelled past its queue or relay deadline
+  kNeedFull,        ///< differential snapshot against an unknown baseline
+  kModelMissing,    ///< the snapshot needs a model the server lacks
+  kSendFiles,       ///< offer partly missed; body = FileListPayload
+  kCorruptPayload,  ///< the server's CRC check rejected our bytes
+  kNotInstalled,    ///< no offloading system yet: ship a VM overlay
+  kRedirect,        ///< a draining server names a peer to re-target
+  kRejected,        ///< the snapshot cannot run (parse, script, cut): final
+  kHave,            ///< (kAck) the blob cache covered the whole offer
+  kInstalled,       ///< (kAck) the VM overlay is installed
+};
+
+/// A decoded control name.
+struct Control {
+  ControlKind kind = ControlKind::kUnknown;
+  std::string app;
+  /// kRedirect only: the attached-server index to re-target. Unset when
+  /// the redirect's target field is missing or not a decimal number.
+  std::optional<std::size_t> target;
+};
+
+/// The message carrying `control`: kAck for kHave/kInstalled, kControl
+/// otherwise, named "<prefix>:<app>" ("redirect:<target>:<app>").
+/// `body` is the kSendFiles FileListPayload; every other kind has none.
+net::Message encode_control(const Control& control, util::Bytes body = {});
+
+/// Classify a received message's name. Never throws: an unknown prefix, a
+/// name without one, or a kind arriving in the wrong message type decodes
+/// to kUnknown.
+Control decode_control(const net::Message& message);
 
 /// Body of a kModelFiles message: the pre-sent model file bundle.
 struct ModelFilesPayload {
@@ -55,7 +99,7 @@ struct ModelOfferPayload {
   static ModelOfferPayload decode(std::span<const std::uint8_t> data);
 };
 
-/// Body of a "send_files:" control reply: the subset of offered files the
+/// Body of a ControlKind::kSendFiles reply: the subset of offered files the
 /// server does not hold and needs uploaded in full.
 struct FileListPayload {
   std::vector<std::string> names;

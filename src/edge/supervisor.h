@@ -27,13 +27,13 @@ struct SupervisorConfig {
   // --- Per-phase deadlines (zero disables that watchdog) ---
   /// Model pre-send → ACK.
   sim::SimTime presend_deadline = sim::SimTime::seconds(30.0);
-  /// Snapshot sent → "accepted:" receipt.
+  /// Snapshot sent → ControlKind::kAccepted receipt.
   sim::SimTime upload_deadline = sim::SimTime::seconds(5.0);
-  /// "accepted:" → "done:" (queue wait + execution on the server).
+  /// kAccepted → kDone (queue wait + execution on the server).
   sim::SimTime execute_deadline = sim::SimTime::seconds(15.0);
-  /// "done:" → result snapshot fully received.
+  /// kDone → result snapshot fully received.
   sim::SimTime download_deadline = sim::SimTime::seconds(5.0);
-  /// The server sends "accepted:"/"done:" phase receipts
+  /// The server sends kAccepted/kDone phase receipts
   /// (EdgeServerConfig::ack_snapshots — the runtime enables it whenever the
   /// supervisor is on). When false, the three snapshot phases collapse into
   /// one watchdog of their summed budget, so a server that never acks does
@@ -145,10 +145,12 @@ struct SupervisorStats {
   int breaker_short_circuits = 0;  ///< offloads skipped: breaker open
   int failovers = 0;           ///< switched primary ↔ secondary server
   int redirects = 0;           ///< server-directed migrations followed
-                               ///< ("redirect:<target>:<app>" controls)
+                               ///< (kRedirect replies with a usable target)
   int model_represends = 0;    ///< crash recovery: model pushed again
   int local_fallbacks = 0;     ///< inferences finished locally by the
                                ///< supervisor after remote attempts failed
+                               ///< or a final verdict (kOverloaded,
+                               ///< kExpired, kRejected)
   double backoff_wait_s = 0;   ///< total time spent waiting between retries
   double recovery_s = 0;       ///< total time spent re-presending models
 };

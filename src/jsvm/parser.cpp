@@ -2,8 +2,21 @@
 
 #include <utility>
 
+#include "src/jsvm/value.h"
+
 namespace offload::jsvm {
 namespace {
+
+/// Deepest recursion the parser follows before refusing a program with
+/// JsError("nesting too deep"). One level is one statement, block,
+/// function literal, assignment expression or unary operand entered while
+/// another is still open: a `(`, `[` or `{` literal nests two levels, a
+/// block two, a function literal five. The edge server parses programs
+/// that clients send it; this bounds the stack a hostile snapshot can make
+/// the parser (and the interpreter and AST destructors after it) use.
+/// DESIGN.md "Control plane" records the margin against real programs and
+/// the ASan stack.
+constexpr int kMaxNestingDepth = 256;
 
 class Parser {
  public:
@@ -18,6 +31,23 @@ class Parser {
     return stmts;
   }
 
+  /// Holds one nesting level for the life of a recursive parse call.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser) : parser_(parser) {
+      if (parser_.depth_ == kMaxNestingDepth) {
+        throw JsError("nesting too deep");
+      }
+      ++parser_.depth_;
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   std::unique_ptr<FunctionExpr> parse_single_function() {
     if (!at(TokenKind::kFunction)) fail("expected 'function'");
     auto fn = parse_function_literal();
@@ -31,6 +61,7 @@ class Parser {
   // ----------------------------------------------------------- statements
 
   StmtPtr parse_statement() {
+    DepthGuard guard(*this);
     switch (peek().kind) {
       case TokenKind::kVar: return parse_var_decl(/*eat_semicolon=*/true);
       case TokenKind::kFunction: return parse_function_decl();
@@ -82,6 +113,7 @@ class Parser {
   }
 
   std::unique_ptr<FunctionExpr> parse_function_literal() {
+    DepthGuard guard(*this);
     auto fn = std::make_unique<FunctionExpr>();
     fn->begin = peek().begin;
     fn->src_begin = peek().begin;
@@ -106,6 +138,7 @@ class Parser {
   }
 
   std::unique_ptr<BlockStmt> parse_block_raw() {
+    DepthGuard guard(*this);
     auto b = std::make_unique<BlockStmt>();
     b->begin = peek().begin;
     expect(TokenKind::kLBrace);
@@ -178,6 +211,7 @@ class Parser {
   ExprPtr parse_expression() { return parse_assignment(); }
 
   ExprPtr parse_assignment() {
+    DepthGuard guard(*this);
     ExprPtr lhs = parse_conditional();
     AssignOp op;
     switch (peek().kind) {
@@ -306,6 +340,7 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
+    DepthGuard guard(*this);
     switch (peek().kind) {
       case TokenKind::kMinus: {
         auto e = make_expr<UnaryExpr>(peek().begin);
@@ -572,6 +607,7 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   std::size_t prev_end_ = 0;
+  int depth_ = 0;  ///< open DepthGuards
 };
 
 }  // namespace

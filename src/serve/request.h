@@ -25,7 +25,8 @@ enum class RejectReason {
 const char* reject_reason_name(RejectReason reason);
 
 /// Typed load-shed reply. The edge server forwards this to the client as
-/// an "overloaded:" control message; clients fall back to local execution.
+/// an edge::ControlKind::kOverloaded reply; clients fall back to local
+/// execution.
 struct Reject {
   RejectReason reason = RejectReason::kQueueFull;
   std::size_t queue_depth = 0;  ///< pending jobs at the moment of rejection

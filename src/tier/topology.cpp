@@ -24,12 +24,6 @@ std::vector<const nn::ModelFile*> app_files(const edge::ModelStore& store,
   return out;
 }
 
-obs::SpanKind kind_for(const char* label) {
-  if (label[0] == 's') return obs::SpanKind::kSteal;
-  if (label[0] == 'm') return obs::SpanKind::kMigrate;
-  return obs::SpanKind::kEscalate;
-}
-
 }  // namespace
 
 net::ChannelConfig TierConfig::default_uplink() {
@@ -66,8 +60,8 @@ Topology::Topology(sim::Simulation& sim, fleet::EdgeFleet& fleet,
   cloud.profile = config_.cloud_profile;
   cloud.scheduler.replicas = config_.cloud_replicas;
   // The cloud is a vanilla EdgeServer speaking the unmodified protocol.
-  // No receipts (the origin edge already gave the client its "accepted:";
-  // the topology synthesizes "done:" when relaying the result) and no
+  // No receipts (the origin edge already gave the client its kAccepted;
+  // the topology synthesizes kDone when relaying the result) and no
   // sessions (escalated jobs are one-shot self-contained snapshots).
   cloud.ack_snapshots = false;
   cloud.keep_sessions = false;
@@ -101,12 +95,12 @@ bool Topology::escalate(std::size_t origin, edge::EscalationRequest req) {
   }
   ++stats_.escalations;
   count("escalations");
-  start_relay(origin, std::move(req), kCloud, "escalate");
+  start_relay(origin, std::move(req), kCloud, obs::SpanKind::kEscalate);
   return true;
 }
 
 void Topology::start_relay(std::size_t origin, edge::EscalationRequest req,
-                           std::size_t target, const char* kind) {
+                           std::size_t target, obs::SpanKind kind) {
   const std::uint64_t id = next_relay_++;
   Relay r;
   r.id = id;
@@ -138,24 +132,25 @@ void Topology::start_relay(std::size_t origin, edge::EscalationRequest req,
         // outlasted the retransmit budget): one typed failure, now.
         auto it = relays_.find(id);
         if (it != relays_.end() && !it->second.done) {
-          fail_relay(it->second, "expired:" + it->second.app);
+          fail_relay(it->second, edge::ControlKind::kExpired);
         }
       });
 
   if (config_.obs) {
-    r.span = config_.obs->trace.open(r.ctx.trace, r.ctx.root, kind_for(kind),
-                                     std::string(kind) + ":" + r.app, label,
-                                     sim_.now());
+    r.span = config_.obs->trace.open(
+        r.ctx.trace, r.ctx.root, kind,
+        std::string(obs::span_kind_name(kind)) + ":" + r.app, label,
+        sim_.now());
     config_.obs->trace.attr(r.span, "origin", server_label(origin));
     config_.obs->trace.attr(r.span, "target", server_label(target));
   }
 
   // The per-hop deadline budget: no result by then → the client hears a
-  // typed "expired:" (and anything later lands on a dead relay).
+  // typed kExpired (and anything later lands on a dead relay).
   r.watchdog = sim_.schedule(config_.escalation_budget, [this, id] {
     auto it = relays_.find(id);
     if (it != relays_.end() && !it->second.done) {
-      fail_relay(it->second, "expired:" + it->second.app);
+      fail_relay(it->second, edge::ControlKind::kExpired);
     }
   });
 
@@ -217,23 +212,13 @@ void Topology::on_relay_message(std::uint64_t id, const net::Message& m) {
     // Corrupted on the tier link (a corrupt-migration fault). Endpoint::
     // send stamps a *fresh* CRC, so relaying these bytes onward would
     // launder the damage into a checksum-valid message the client trusts.
-    // Never forward them: re-drive the exchange from our pristine copy —
-    // bounded — and fail typed when the budget runs out.
-    if (r.retries++ < config_.max_relay_retries) {
-      if (r.snapshot_sent) {
-        send_snapshot(r);  // the executor simply runs it again
-      } else {
-        send_offer(r);
-      }
-    } else {
-      fail_relay(r, "expired:" + r.app);
-    }
-    return;
+    // Never forward them: re-drive the exchange from our pristine copy.
+    return resend_leg(r);
   }
   switch (m.type) {
     case net::MessageType::kAck:
-      // "have:<app>" (cache covered the offer) or the post-store ACK —
-      // either way the executor now holds the model.
+      // kHave (cache covered the offer) or the post-store ACK — either
+      // way the executor now holds the model.
       if (!r.snapshot_sent) send_snapshot(r);
       return;
     case net::MessageType::kResultSnapshot:
@@ -244,54 +229,54 @@ void Topology::on_relay_message(std::uint64_t id, const net::Message& m) {
     default:
       return;
   }
-  const std::string& name = m.name;
-  if (util::starts_with(name, "send_files:")) {
-    send_files(r, edge::FileListPayload::decode(std::span(m.payload)).names);
-    return;
-  }
-  if (util::starts_with(name, "overloaded:") ||
-      util::starts_with(name, "expired:")) {
-    // The executor shed or deadline-cancelled the job: relay the typed
-    // verdict verbatim; the client falls back exactly as if its own edge
-    // had said it.
-    fail_relay(r, name);
-    return;
-  }
-  if (util::starts_with(name, "model_missing:")) {
-    // The executor crashed between our push and the snapshot: push again,
-    // a bounded number of times.
-    if (r.retries++ < config_.max_relay_retries) {
+  const edge::ControlKind kind = edge::decode_control(m).kind;
+  switch (kind) {
+    case edge::ControlKind::kSendFiles:
+      send_files(r, edge::FileListPayload::decode(std::span(m.payload)).names);
+      return;
+    case edge::ControlKind::kOverloaded:
+    case edge::ControlKind::kExpired:
+    case edge::ControlKind::kRejected:
+      // The executor shed, deadline-cancelled or refused the job: relay
+      // the typed verdict verbatim; the client falls back exactly as if
+      // its own edge had said it.
+      fail_relay(r, kind);
+      return;
+    case edge::ControlKind::kModelMissing:
+      // The executor crashed between our push and the snapshot: push
+      // again from the offer.
       r.snapshot_sent = false;
-      send_offer(r);
-    } else {
-      fail_relay(r, "expired:" + r.app);
-    }
-    return;
+      return resend_leg(r);
+    case edge::ControlKind::kCorruptPayload:
+      // Damaged in flight (a corrupt-migration fault): the bytes are
+      // still pristine here, so resend whatever leg was corrupted.
+      return resend_leg(r);
+    case edge::ControlKind::kNeedFull:
+    case edge::ControlKind::kNotInstalled:
+      // Structurally impossible (relays carry self-contained snapshots to
+      // installed executors); if it happens anyway, fail typed, never hang.
+      fail_relay(r, edge::ControlKind::kExpired);
+      return;
+    case edge::ControlKind::kAccepted:  // the client holds the origin's
+    case edge::ControlKind::kDone:      // receipts; finish_relay sends kDone
+    case edge::ControlKind::kRedirect:
+    case edge::ControlKind::kHave:
+    case edge::ControlKind::kInstalled:
+    case edge::ControlKind::kUnknown:
+      return;
   }
-  if (util::starts_with(name, "corrupt_payload:")) {
-    // Damaged in flight (a corrupt-migration fault): the bytes are still
-    // pristine here, so resend — bounded — whatever leg was corrupted.
-    if (r.retries++ < config_.max_relay_retries) {
-      if (r.snapshot_sent) {
-        send_snapshot(r);
-      } else {
-        send_offer(r);
-      }
-    } else {
-      fail_relay(r, "expired:" + r.app);
-    }
-    return;
+}
+
+void Topology::resend_leg(Relay& r) {
+  // Bounded: a relay re-drives its exchange at most max_relay_retries
+  // times, then fails typed.
+  if (r.retries++ >= config_.max_relay_retries) {
+    fail_relay(r, edge::ControlKind::kExpired);
+  } else if (r.snapshot_sent) {
+    send_snapshot(r);  // the executor simply runs it again
+  } else {
+    send_offer(r);
   }
-  if (util::starts_with(name, "need_full:") ||
-      util::starts_with(name, "not_installed:")) {
-    // Structurally impossible (relays carry self-contained snapshots to
-    // installed executors); if it happens anyway, fail typed, never hang.
-    fail_relay(r, "expired:" + r.app);
-    return;
-  }
-  // "accepted:"/"done:" receipts from an acking executor: the client
-  // already holds the origin's receipts; the topology synthesizes its own
-  // "done:" when the result comes back.
 }
 
 bool Topology::origin_alive(const Relay& r) {
@@ -313,23 +298,16 @@ void Topology::finish_relay(Relay& r, const net::Message& result) {
   }
   if (r.origin_acks) {
     // The origin promised receipts; honor its contract before the result.
-    net::Message done;
-    done.type = net::MessageType::kControl;
-    done.name = "done:" + r.app;
-    r.reply_to->send(std::move(done));
+    r.reply_to->send(
+        edge::encode_control({edge::ControlKind::kDone, r.app, std::nullopt}));
   }
-  net::Message reply;
-  reply.type = net::MessageType::kResultSnapshot;
-  reply.name = result.name;
-  reply.payload = result.payload;
-  reply.ctx = result.ctx;
-  r.reply_to->send(std::move(reply));
+  r.reply_to->send(result);  // send() stamps a fresh id and CRC
   ++stats_.relays_completed;
   count("relays_completed");
   close_relay(r, "completed");
 }
 
-void Topology::fail_relay(Relay& r, const std::string& control) {
+void Topology::fail_relay(Relay& r, edge::ControlKind kind) {
   if (r.done) return;
   if (!origin_alive(r)) {
     ++stats_.results_dropped;
@@ -337,10 +315,7 @@ void Topology::fail_relay(Relay& r, const std::string& control) {
     close_relay(r, "dropped");
     return;
   }
-  net::Message msg;
-  msg.type = net::MessageType::kControl;
-  msg.name = control;
-  r.reply_to->send(std::move(msg));
+  r.reply_to->send(edge::encode_control({kind, r.app, std::nullopt}));
   ++stats_.relays_failed;
   count("relays_failed");
   close_relay(r, "failed");
@@ -370,10 +345,8 @@ std::size_t Topology::drain(std::size_t victim, std::size_t target) {
       // Client-visible redirect: the supervisor re-targets the named
       // peer, re-presends, and replays — the one migration the snapshot
       // cannot make transparent.
-      net::Message msg;
-      msg.type = net::MessageType::kControl;
-      msg.name = "redirect:" + std::to_string(target) + ":" + job->app;
-      job->reply_to->send(std::move(msg));
+      job->reply_to->send(edge::encode_control(
+          {edge::ControlKind::kRedirect, job->app, target}));
       ++stats_.redirects;
       count("redirects");
       if (config_.obs) {
@@ -385,30 +358,35 @@ std::size_t Topology::drain(std::size_t victim, std::size_t target) {
       ++moved;
       continue;
     }
-    if (!v.model_store().can_instantiate(job->app)) {
-      // Defensive: without the model the job cannot run anywhere else.
-      // One typed failure beats a silent drop.
-      net::Message msg;
-      msg.type = net::MessageType::kControl;
-      msg.name = "expired:" + job->app;
-      job->reply_to->send(std::move(msg));
-      ++stats_.relays_failed;
-      count("relays_failed");
-      ++moved;
-      continue;
+    if (relay_job(victim, std::move(*job), target, obs::SpanKind::kMigrate)) {
+      ++stats_.drained;
+      count("drained");
     }
-    edge::EscalationRequest req;
-    req.app = std::move(job->app);
-    req.payload = std::move(job->payload);
-    req.reply_to = job->reply_to;
-    req.ctx = job->ctx;
-    req.reason = "migrate";
-    start_relay(victim, std::move(req), target, "migrate");
-    ++stats_.drained;
-    count("drained");
     ++moved;
   }
   return moved;
+}
+
+bool Topology::relay_job(std::size_t origin,
+                         edge::EdgeServer::MigratableJob job,
+                         std::size_t target, obs::SpanKind kind) {
+  if (!fleet_.server(origin).model_store().can_instantiate(job.app)) {
+    // Withdrawn but unrunnable elsewhere (no model to push): one typed
+    // failure beats a silent drop.
+    job.reply_to->send(edge::encode_control(
+        {edge::ControlKind::kExpired, job.app, std::nullopt}));
+    ++stats_.relays_failed;
+    count("relays_failed");
+    return false;
+  }
+  edge::EscalationRequest req;
+  req.app = std::move(job.app);
+  req.payload = std::move(job.payload);
+  req.reply_to = job.reply_to;
+  req.ctx = job.ctx;
+  req.reason = obs::span_kind_name(kind);
+  start_relay(origin, std::move(req), target, kind);
+  return true;
 }
 
 int Topology::outstanding_relays(std::size_t server) const {
@@ -462,26 +440,10 @@ void Topology::steal_tick() {
         idle[steal_rng_.next_below(static_cast<std::uint32_t>(idle.size()))];
     auto job = fleet_.server(victim).steal_job(/*relayable_only=*/true);
     if (!job ||
-        !fleet_.server(victim).model_store().can_instantiate(job->app)) {
-      if (job) {
-        // Withdrawn but unrunnable elsewhere: typed failure, never lost.
-        net::Message msg;
-        msg.type = net::MessageType::kControl;
-        msg.name = "expired:" + job->app;
-        job->reply_to->send(std::move(msg));
-        ++stats_.relays_failed;
-        count("relays_failed");
-      }
+        !relay_job(victim, std::move(*job), thief, obs::SpanKind::kSteal)) {
       break;
     }
     took[thief] = 1;
-    edge::EscalationRequest req;
-    req.app = std::move(job->app);
-    req.payload = std::move(job->payload);
-    req.reply_to = job->reply_to;
-    req.ctx = job->ctx;
-    req.reason = "steal";
-    start_relay(victim, std::move(req), thief, "steal");
     ++stats_.steals;
     count("steals");
   }

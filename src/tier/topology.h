@@ -8,13 +8,13 @@
 //    snapshot is self-contained; the model rides along as content-
 //    addressed digest offers). The result returns through the origin
 //    edge's client-facing endpoint, so the client sees only a slower
-//    "accepted:" → result and never learns the cloud exists.
+//    kAccepted → result and never learns the cloud exists.
 //
 //  * Transparent session migration — drain() withdraws every still-queued
 //    job from a loaded edge. Self-contained snapshots relay to a peer (or
 //    the cloud) exactly like escalations; differential jobs, which only
 //    the origin's session realm can apply, redirect their client to a
-//    named peer with a "redirect:<target>:<app>" control reply.
+//    named peer with a ControlKind::kRedirect reply carrying its index.
 //
 //  * Deterministic work stealing — an idle edge pulls the oldest queued
 //    job off the most-backlogged peer on a seeded, byte-reproducible
@@ -26,7 +26,7 @@
 // there is no cross-job reply ambiguity to misattribute, and a message
 // arriving after the relay's deadline lands on a dead relay and is
 // ignored. Per relay, the client hears exactly one outcome: the result,
-// or one typed control failure ("overloaded:"/"expired:"). Results and
+// or one typed control failure (kOverloaded/kExpired/kRejected). Results and
 // failures are epoch-guarded — if the origin edge crashed since the job
 // was taken, the relay stays silent and the client's supervisor recovers,
 // never adopting a result the dead server could not have sent.
@@ -60,7 +60,7 @@ struct TierConfig {
   /// Edge→edge LAN shape for stolen/migrated relays.
   net::ChannelConfig peer_link = default_peer_link();
   /// Per-hop deadline budget: a relay that has not delivered its result
-  /// this long after taking the job fails with a typed "expired:<app>".
+  /// this long after taking the job fails with a typed kExpired.
   /// Must fit inside the client supervisor's execute deadline, or the
   /// client gives up first and the relay's outcome arrives late (and is
   /// ignored — the guard rails hold, the budget is just wasted).
@@ -129,18 +129,23 @@ class Topology {
   /// "expired" reasons). False = cannot take it (the edge sheds normally).
   bool escalate(std::size_t origin, edge::EscalationRequest req);
   /// Start a relay executing `job` (from `origin`) on `target` (kCloud or
-  /// a fleet index). `kind` labels the span: "escalate"/"steal"/"migrate".
+  /// a fleet index). `kind` is the span's: kEscalate/kSteal/kMigrate.
   void start_relay(std::size_t origin, edge::EscalationRequest req,
-                   std::size_t target, const char* kind);
+                   std::size_t target, obs::SpanKind kind);
+  /// Relay a withdrawn job, or fail it typed if `origin` lacks its model.
+  bool relay_job(std::size_t origin, edge::EdgeServer::MigratableJob job,
+                 std::size_t target, obs::SpanKind kind);
   void on_relay_message(std::uint64_t id, const net::Message& message);
+  /// Re-send the snapshot (or offer) from the pristine copy, bounded.
+  void resend_leg(Relay& r);
   void send_offer(Relay& r);
   void send_files(Relay& r, const std::vector<std::string>& names);
   void send_snapshot(Relay& r);
-  /// Deliver the relayed result (plus "done:" when the origin edge sends
+  /// Deliver the relayed result (plus kDone when the origin edge sends
   /// receipts) through the origin's client-facing endpoint.
   void finish_relay(Relay& r, const net::Message& result);
-  /// Deliver one typed control failure ("overloaded:<app>", …).
-  void fail_relay(Relay& r, const std::string& control);
+  /// Deliver one typed control failure for the relay's app.
+  void fail_relay(Relay& r, edge::ControlKind kind);
   /// Epoch/liveness guard: true when the origin edge can still speak for
   /// this relay. False increments results_dropped.
   bool origin_alive(const Relay& r);

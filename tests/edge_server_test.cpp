@@ -152,6 +152,50 @@ TEST(EdgeServerTest, DifferentialAgainstUnknownBaselineRefused) {
   EXPECT_EQ(h.server->stats().snapshots_executed, 0);
 }
 
+TEST(EdgeServerTest, FailingSnapshotIsRejectedAndTheServerKeepsServing) {
+  // A client snapshot that does not parse, nests past the parser's cap,
+  // or names a cut its model lacks is the client's fault: it gets one
+  // typed "rejected:" reply, and the server (and the simulation) keeps
+  // going.
+  Harness h;
+  auto net = nn::build_tiny_cnn(17);
+  h.send_model(*net);  // the model is there: these are not model misses
+  h.sim.run();
+  h.client_inbox.clear();
+  const std::pair<std::uint64_t, std::string> bad[] = {
+      {UINT64_MAX, "var x = ;"},
+      {UINT64_MAX,
+       std::string(100000, '(') + "1" + std::string(100000, ')') + ";"},
+      {net->size() + 5, "var y = 1;"},
+  };
+  for (const auto& [cut, program] : bad) {
+    SnapshotPayload payload;
+    payload.cut = cut;
+    payload.program = program;
+    net::Message msg;
+    msg.type = net::MessageType::kSnapshot;
+    msg.name = "tinycnn";
+    msg.payload = payload.encode();
+    h.channel->a().send(std::move(msg));
+  }
+  h.sim.run();
+  ASSERT_EQ(h.client_inbox.size(), std::size(bad));
+  for (const auto& m : h.client_inbox) {
+    EXPECT_EQ(m.type, net::MessageType::kControl);
+    EXPECT_EQ(m.name, "rejected:tinycnn");
+  }
+  EXPECT_EQ(h.server->stats().snapshots_rejected, 3);
+  EXPECT_EQ(h.server->stats().model_missing_replies, 0);
+  EXPECT_EQ(h.server->stats().snapshots_executed, 0);
+
+  h.client_inbox.clear();
+  h.send_snapshot("tinycnn", "var y = 4;");
+  h.sim.run();
+  ASSERT_EQ(h.client_inbox.size(), 1u);
+  EXPECT_EQ(h.client_inbox[0].type, net::MessageType::kResultSnapshot);
+  EXPECT_EQ(h.server->stats().snapshots_executed, 1);
+}
+
 TEST(EdgeServerTest, SessionsDisabledMeansNoVersionInReply) {
   EdgeServerConfig config;
   config.keep_sessions = false;

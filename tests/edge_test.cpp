@@ -311,5 +311,100 @@ TEST(ProtocolTest, PayloadCrcDetectsCorruption) {
   EXPECT_TRUE(payload_intact(empty));
 }
 
+net::Message named(net::MessageType type, std::string name) {
+  net::Message m;
+  m.type = type;
+  m.name = std::move(name);
+  return m;
+}
+
+TEST(ControlCodecTest, WireNamesArePinnedAndRoundTrip) {
+  // The literal bytes each kind has always travelled as: the codec must
+  // not move them, or wire_size() and every sim timing would shift.
+  const std::pair<ControlKind, const char*> kinds[] = {
+      {ControlKind::kAccepted, "accepted:app"},
+      {ControlKind::kDone, "done:app"},
+      {ControlKind::kOverloaded, "overloaded:app"},
+      {ControlKind::kExpired, "expired:app"},
+      {ControlKind::kNeedFull, "need_full:app"},
+      {ControlKind::kModelMissing, "model_missing:app"},
+      {ControlKind::kSendFiles, "send_files:app"},
+      {ControlKind::kCorruptPayload, "corrupt_payload:app"},
+      {ControlKind::kNotInstalled, "not_installed:app"},
+      {ControlKind::kRedirect, "redirect:2:app"},
+      {ControlKind::kRejected, "rejected:app"},
+      {ControlKind::kHave, "have:app"},
+      {ControlKind::kInstalled, "installed:app"},
+  };
+  // Every kind but kUnknown is pinned above, in enum order.
+  ASSERT_EQ(std::size(kinds),
+            static_cast<std::size_t>(ControlKind::kInstalled));
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    const auto [kind, wire] = kinds[i];
+    SCOPED_TRACE(wire);
+    EXPECT_EQ(static_cast<std::size_t>(kind), i + 1);
+    const bool ack = kind == ControlKind::kHave ||
+                     kind == ControlKind::kInstalled;
+    std::optional<std::size_t> target;
+    if (kind == ControlKind::kRedirect) target = 2;
+    const net::Message m = encode_control({kind, "app", target});
+    EXPECT_EQ(m.name, wire);
+    EXPECT_EQ(m.type,
+              ack ? net::MessageType::kAck : net::MessageType::kControl);
+    EXPECT_TRUE(m.payload.empty());
+    const Control back = decode_control(m);
+    EXPECT_EQ(back.kind, kind);
+    EXPECT_EQ(back.app, "app");
+    EXPECT_EQ(back.target, target);
+  }
+  // The kSendFiles body rides along untouched.
+  FileListPayload missing;
+  missing.names = {"app.weights"};
+  const net::Message files =
+      encode_control({ControlKind::kSendFiles, "app", std::nullopt},
+                     missing.encode());
+  EXPECT_EQ(FileListPayload::decode(std::span(files.payload)).names,
+            missing.names);
+  // Encoding a kind with no wire name is a caller bug.
+  EXPECT_THROW(encode_control({ControlKind::kUnknown, "app", std::nullopt}),
+               std::invalid_argument);
+  EXPECT_THROW(encode_control({ControlKind::kRedirect, "app", std::nullopt}),
+               std::invalid_argument);
+}
+
+TEST(ControlCodecTest, MalformedNamesDecodeWithoutThrowing) {
+  using net::MessageType;
+  for (const char* name :
+       {"", ":", "bogus:x", "overloadedX", "overloaded", "app", "Done:app"}) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(decode_control(named(MessageType::kControl, name)).kind,
+              ControlKind::kUnknown);
+  }
+  // A plain post-store ACK is named just "<app>"; the ACK variants only
+  // decode from kAck, and the control kinds only from kControl.
+  EXPECT_EQ(decode_control(named(MessageType::kAck, "app")).kind,
+            ControlKind::kUnknown);
+  EXPECT_EQ(decode_control(named(MessageType::kControl, "have:app")).kind,
+            ControlKind::kUnknown);
+  EXPECT_EQ(decode_control(named(MessageType::kAck, "overloaded:app")).kind,
+            ControlKind::kUnknown);
+  // A redirect whose target is missing or not a plain decimal index keeps
+  // its kind but no target, so the client treats it as unusable.
+  for (const char* name :
+       {"redirect:app", "redirect:-1:app", "redirect:abc:app", "redirect::app",
+        "redirect:+1:app", "redirect:1x:app",
+        "redirect:99999999999999999999999:app"}) {
+    SCOPED_TRACE(name);
+    const Control c = decode_control(named(MessageType::kControl, name));
+    EXPECT_EQ(c.kind, ControlKind::kRedirect);
+    EXPECT_FALSE(c.target.has_value());
+    EXPECT_EQ(c.app, "app");
+  }
+  const Control edge = decode_control(named(
+      MessageType::kControl, "redirect:" + std::to_string(SIZE_MAX) + ":a:b"));
+  EXPECT_EQ(edge.target, std::optional<std::size_t>(SIZE_MAX));
+  EXPECT_EQ(edge.app, "a:b");
+}
+
 }  // namespace
 }  // namespace offload::edge

@@ -11,6 +11,102 @@ nn::BenchmarkModel tiny_model() {
   return {"TinyCNN", &nn::build_tiny_cnn_default, 17, 32};
 }
 
+/// A stand-in edge on `endpoint`: ACKs every model upload and answers
+/// every snapshot with the control name `prefix` + app, counting them.
+struct ScriptedEdge {
+  ScriptedEdge(net::Endpoint& endpoint, std::string prefix)
+      : prefix(std::move(prefix)) {
+    endpoint.set_handler([this, &endpoint](const net::Message& m) {
+      net::Message out;
+      out.name = m.name;
+      if (m.type == net::MessageType::kModelFiles) {
+        out.type = net::MessageType::kAck;
+      } else if (m.type == net::MessageType::kSnapshot) {
+        ++snapshots;
+        out.type = net::MessageType::kControl;
+        out.name = this->prefix + m.name;
+      } else {
+        return;
+      }
+      endpoint.send(std::move(out));
+    });
+  }
+  std::string prefix;
+  int snapshots = 0;
+};
+
+TEST(FailureInjection, MalformedRedirectIsAnUnusableTarget) {
+  // "redirect:abc:<app>" names no server. It must not be read as server 0:
+  // supervised, the client retries its own server and only then fails
+  // over; unsupervised, it finishes locally.
+  for (bool supervised : {true, false}) {
+    SCOPED_TRACE(supervised ? "supervised" : "unsupervised");
+    sim::Simulation sim;
+    auto link0 = net::Channel::make(sim, net::ChannelConfig{}, "c0", "edge0");
+    auto link1 = net::Channel::make(sim, net::ChannelConfig{}, "c1", "edge1");
+    edge::EdgeServerConfig server_config;
+    server_config.ack_snapshots = true;
+    edge::EdgeServer server0(sim, link0->b(), server_config);
+    ScriptedEdge edge1(link1->b(), "redirect:abc:");
+    edge::ClientConfig config;
+    config.supervisor.enabled = supervised;
+    config.supervisor.hedge_after = sim::SimTime::zero();
+    config.route = [](std::uint64_t) {
+      return std::vector<std::size_t>{1, 0};
+    };
+    edge::ClientDevice client(sim, link0->a(), config,
+                              make_benchmark_app(tiny_model(), false));
+    client.attach_server(link1->a());
+    client.start();
+    client.click_at(sim::SimTime::seconds(5));
+    sim.run();
+
+    ASSERT_TRUE(client.finished());
+    EXPECT_EQ(client.supervisor_stats().redirects, 0);
+    if (supervised) {
+      // Every attempt went to server 1; the failover then reached 0.
+      EXPECT_EQ(edge1.snapshots, config.supervisor.max_attempts);
+      EXPECT_EQ(client.supervisor_stats().failovers, 1);
+      EXPECT_TRUE(client.timeline().offloaded);
+      EXPECT_EQ(client.timeline().server_index, 0);
+    } else {
+      EXPECT_EQ(edge1.snapshots, 1);
+      EXPECT_TRUE(client.timeline().local_fallback);
+      EXPECT_FALSE(client.timeline().offloaded);
+    }
+  }
+}
+
+TEST(FailureInjection, RejectedSnapshotFallsBackLocallyWithoutRetry) {
+  // The server could not run our snapshot: resending the same bytes fails
+  // again, and the server is healthy. Finish locally, once, with no retry
+  // and no breaker failure.
+  const std::string local =
+      run_scenario(tiny_model(), Scenario::kClientOnly).result_text;
+  for (bool supervised : {true, false}) {
+    SCOPED_TRACE(supervised ? "supervised" : "unsupervised");
+    sim::Simulation sim;
+    auto link = net::Channel::make(sim, net::ChannelConfig{});
+    ScriptedEdge edge(link->b(), "rejected:");
+    edge::ClientConfig config;
+    config.supervisor.enabled = supervised;
+    edge::ClientDevice client(sim, link->a(), config,
+                              make_benchmark_app(tiny_model(), false));
+    client.start();
+    client.click_at(sim::SimTime::seconds(5));
+    sim.run();
+
+    ASSERT_TRUE(client.finished());
+    EXPECT_EQ(edge.snapshots, 1);
+    EXPECT_TRUE(client.timeline().local_fallback);
+    EXPECT_FALSE(client.timeline().offloaded);
+    EXPECT_EQ(client.result_text(), local);
+    EXPECT_EQ(client.supervisor_stats().retries, 0);
+    EXPECT_EQ(client.breaker(0).consecutive_failures(), 0);
+    EXPECT_EQ(client.supervisor_stats().local_fallbacks, supervised ? 1 : 0);
+  }
+}
+
 TEST(FailureInjection, OffloadSurvivesLossyLink) {
   edge::AppBundle bundle = make_benchmark_app(tiny_model(), false);
   RuntimeConfig config;

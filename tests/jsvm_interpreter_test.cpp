@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/jsvm/lexer.h"
+#include "src/jsvm/snapshot.h"
 
 namespace offload::jsvm {
 namespace {
@@ -13,6 +14,13 @@ double eval_number(const std::string& source) {
   Interpreter interp;
   Value v = interp.eval_program(source);
   return to_number(v);
+}
+
+std::string repeat(std::string_view unit, int n) {
+  std::string out;
+  out.reserve(unit.size() * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out += unit;
+  return out;
 }
 
 std::string eval_string(const std::string& source) {
@@ -391,6 +399,38 @@ TEST(InterpreterError, ParseErrors) {
   EXPECT_THROW(interp.eval_program("var x = 'unterminated;"), ParseError);
   EXPECT_THROW(interp.eval_program("var x = 1 + ;"), ParseError);
   EXPECT_THROW(interp.eval_program("1 & 2;"), ParseError);
+}
+
+TEST(InterpreterError, HostileNestingThrowsInsteadOfOverflowingTheStack) {
+  // Programs nested 10^5 deep (the edge server parses what clients send
+  // it) must fail with a typed error, not recurse off the stack.
+  constexpr int n = 100000;
+  const std::pair<const char*, std::string> programs[] = {
+      {"parentheses", repeat("(", n) + "1" + repeat(")", n) + ";"},
+      {"array literals", "var a = " + repeat("[", n) + repeat("]", n) + ";"},
+      {"blocks", repeat("{", n) + repeat("}", n)},
+      {"function literals",
+       "var f = " + repeat("function(){return ", n) + "1" + repeat(";}", n) +
+           ";"},
+      {"prefix operators", repeat("!", n) + "1;"},
+  };
+  for (const auto& [what, source] : programs) {
+    SCOPED_TRACE(what);
+    Interpreter interp;
+    EXPECT_THROW(interp.eval_program(source), JsError);
+  }
+  Interpreter restored;
+  EXPECT_THROW(restore_snapshot(restored, programs[0].second), JsError);
+}
+
+TEST(InterpreterError, NestingBelowTheCapStillRuns) {
+  EXPECT_EQ(eval_number(repeat("(", 100) + "7" + repeat(")", 100) + ";"), 7);
+  EXPECT_EQ(eval_number("var x = 0;" + repeat("{", 100) + "x = 3;" +
+                        repeat("}", 100) + "x;"),
+            3);
+  EXPECT_EQ(eval_number("var a = " + repeat("[", 100) + "5" +
+                        repeat("]", 100) + "; a" + repeat("[0]", 100) + ";"),
+            5);
 }
 
 TEST(InterpreterError, NumberCoercionIsStrict) {

@@ -1,4 +1,4 @@
-// Scalar vs simd vs int8 kernel throughput on the layer shapes that
+// Scalar vs simd kernel throughput on the layer shapes that
 // dominate the benchmark models (GoogLeNet inception convs and stem,
 // AgeNet's grouped conv and 18816x512 fc, plus pool/relu/lrn planes and an
 // odd-channel conv that exercises every panel edge path).
@@ -6,8 +6,8 @@
 // Emits BENCH_micro_kernels.json: per (shape, backend) the best-of-reps
 // wall time, effective GFLOP/s, speedup over the scalar backend, and a
 // CRC32 of the output tensor bytes. The CRCs are the determinism story:
-// fp32 backends must produce identical checksums (bit-exact contract,
-// DESIGN §11) and the int8 checksum is itself reproducible run to run.
+// both backends must produce identical checksums (bit-exact contract,
+// DESIGN §11); the program exits 1 on any mismatch.
 // With OFFLOAD_BENCH_DETERMINISTIC=1 the timing fields are zeroed so the
 // CI double-run gate can diff the file byte-for-byte.
 #include <chrono>
@@ -42,7 +42,6 @@ struct Workload {
   std::unique_ptr<nn::Layer> layer;
   Tensor input;
   std::uint64_t flops = 0;
-  bool has_int8 = false;  ///< conv/fc quantize; pool/relu/lrn stay fp32
 };
 
 std::uint64_t layer_flops(const nn::Layer& layer, const Tensor& in) {
@@ -68,7 +67,6 @@ Workload make_conv(std::string name, std::int64_t C, std::int64_t H,
   w.input = Tensor::random_uniform({C, H, H}, rng);
   w.flops = layer_flops(*layer, w.input);
   w.layer = std::move(layer);
-  w.has_int8 = true;
   return w;
 }
 
@@ -95,7 +93,6 @@ std::vector<Workload> build_workloads() {
     w.input = Tensor::random_uniform({std::int64_t{18816}}, rng);
     w.flops = layer_flops(*layer, w.input);
     w.layer = std::move(layer);
-    w.has_int8 = true;
     ws.push_back(std::move(w));
   }
   {
@@ -107,7 +104,6 @@ std::vector<Workload> build_workloads() {
     w.input = Tensor::random_uniform({std::int64_t{1024}}, rng);
     w.flops = layer_flops(*layer, w.input);
     w.layer = std::move(layer);
-    w.has_int8 = true;
     ws.push_back(std::move(w));
   }
   {
@@ -176,19 +172,20 @@ int main() {
       std::getenv("OFFLOAD_BENCH_DETERMINISTIC") != nullptr;
   const std::vector<Workload> workloads = build_workloads();
   std::vector<bench::JsonObject> json;
+  bool all_bit_exact = true;
   std::printf("%-24s %-7s %10s %9s %9s  %s\n", "shape", "backend", "best_ms",
               "gflops", "speedup", "crc32");
   for (const Workload& w : workloads) {
     double scalar_ms = 0.0;
     std::uint32_t scalar_crc = 0;
-    for (KernelBackend k :
-         {KernelBackend::kScalar, KernelBackend::kSimd, KernelBackend::kInt8}) {
-      if (k == KernelBackend::kInt8 && !w.has_int8) continue;
+    for (KernelBackend k : {KernelBackend::kScalar, KernelBackend::kSimd}) {
       const Measurement m = measure(w, k);
       if (k == KernelBackend::kScalar) {
         scalar_ms = m.best_ms;
         scalar_crc = m.crc;
       }
+      const bool bit_exact = m.crc == scalar_crc;
+      all_bit_exact = all_bit_exact && bit_exact;
       const double speedup = m.best_ms > 0 ? scalar_ms / m.best_ms : 0.0;
       const double gflops =
           m.best_ms > 0 ? static_cast<double>(w.flops) / (m.best_ms * 1e6)
@@ -197,10 +194,7 @@ int main() {
       std::snprintf(crc_hex, sizeof crc_hex, "%08x", m.crc);
       std::printf("%-24s %-7s %10.3f %9.2f %9.2f  %s%s\n", w.name.c_str(),
                   nn::kernel_backend_name(k), m.best_ms, gflops, speedup,
-                  crc_hex,
-                  k != KernelBackend::kInt8 && m.crc != scalar_crc
-                      ? "  <-- fp32 CRC MISMATCH"
-                      : "");
+                  crc_hex, bit_exact ? "" : "  <-- CRC MISMATCH");
       bench::JsonObject o;
       o.set("shape", w.name)
           .set("backend", nn::kernel_backend_name(k))
@@ -209,12 +203,10 @@ int main() {
           .set("gflops", deterministic ? 0.0 : gflops, "%.3f")
           .set("speedup_vs_scalar", deterministic ? 0.0 : speedup, "%.3f")
           .set("output_crc32", std::string(crc_hex))
-          .set("fp32_bit_exact",
-               k == KernelBackend::kInt8
-                   ? std::string("n/a")
-                   : std::string(m.crc == scalar_crc ? "yes" : "NO"));
+          .set("fp32_bit_exact", std::string(bit_exact ? "yes" : "NO"));
       json.push_back(std::move(o));
     }
   }
-  return bench::write_json_array("BENCH_micro_kernels.json", json) ? 0 : 1;
+  if (!bench::write_json_array("BENCH_micro_kernels.json", json)) return 1;
+  return all_bit_exact ? 0 : 1;
 }

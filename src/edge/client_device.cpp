@@ -5,7 +5,6 @@
 
 #include "src/jsvm/snapshot.h"
 #include "src/jsvm/snapshot_diff.h"
-#include "src/nn/kernels.h"
 #include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/vmsynth/overlay.h"
@@ -460,10 +459,9 @@ double ClientDevice::run_events_charged(bool defer_offload,
   const double exec_s = browser_->consume_compute_seconds();
   timeline_.client_exec_s += exec_s;
   if (obs_) {
-    const obs::SpanId exec_span = obs_->trace.emit(
-        trace_, root_span_, obs::SpanKind::kClientExec, label, "client",
-        sim_.now(), sim_.now() + sim::SimTime::seconds(exec_s), exec_s);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec, label,
+                     "client", sim_.now(),
+                     sim_.now() + sim::SimTime::seconds(exec_s), exec_s);
   }
   return exec_s;
 }
@@ -911,11 +909,9 @@ void ClientDevice::finish_hedge() {
   timeline_.client_exec_s += hedge_exec_s_;
   timeline_.finished = sim_.now();
   if (obs_) {
-    const obs::SpanId exec_span =
-        obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
-                         "exec_hedge", "client", hedge_started_at_,
-                         sim_.now(), hedge_exec_s_);
-    nn::tag_kernel_backend_span(obs_->trace, exec_span);
+    obs_->trace.emit(trace_, root_span_, obs::SpanKind::kClientExec,
+                     "exec_hedge", "client", hedge_started_at_, sim_.now(),
+                     hedge_exec_s_);
   }
   if (!awaiting_result_) {
     // Remote was abandoned earlier; this hedge run is the fallback result.

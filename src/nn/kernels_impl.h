@@ -13,17 +13,9 @@ void scalar_gemm_tile(const float* apack, std::int64_t kd, const float* b,
                       std::int64_t n, const float* bias, float* c,
                       std::int64_t m_total, std::int64_t i0, std::int64_t i1,
                       std::int64_t j0, std::int64_t j1);
-void scalar_gemm_tile_i8(const std::int8_t* apack, std::int64_t kd,
-                         const std::int8_t* b, std::int64_t n,
-                         const float* bias, float dequant, float* c,
-                         std::int64_t m_total, std::int64_t i0, std::int64_t i1,
-                         std::int64_t j0, std::int64_t j1);
-void scalar_fc_rows(const float* w, const float* wt, std::int64_t in,
-                    const float* x, const float* bias, float* y,
-                    std::int64_t row0, std::int64_t row1);
-void scalar_fc_rows_i8(const std::int8_t* qw, std::int64_t in,
-                       const std::int8_t* qx, const float* bias, float dequant,
-                       float* y, std::int64_t row0, std::int64_t row1);
+void scalar_fc_rows(const float* w, std::int64_t in, const float* x,
+                    const float* bias, float* y, std::int64_t row0,
+                    std::int64_t row1);
 void scalar_relu_range(float* data, std::int64_t lo, std::int64_t hi);
 void scalar_pool_plane(const float* in, float* out, std::int64_t H,
                        std::int64_t W, std::int64_t OH, std::int64_t OW,

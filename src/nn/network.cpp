@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/nn/kernels.h"
 #include "src/obs/metrics.h"
 
 namespace offload::nn {
@@ -129,12 +128,6 @@ Tensor Network::run_range(std::size_t begin, std::size_t end,
   }
   if (metrics) {
     metrics->add("nn.forward_ranges");
-    // Which backend ran the kernels. Counted only off the default so the
-    // scalar metrics snapshots (and their goldens) keep their exact lines.
-    const KernelBackend k = active_kernel_backend();
-    if (k != KernelBackend::kScalar) {
-      metrics->add(std::string("nn.kernels.") + kernel_backend_name(k));
-    }
   }
   return values[end - 1];
 }
@@ -180,10 +173,6 @@ Tensor Network::run_range_batch(std::size_t begin, std::size_t end,
   if (metrics) {
     metrics->add("nn.forward_ranges");
     metrics->add("nn.batched_samples", static_cast<std::uint64_t>(batch));
-    const KernelBackend k = active_kernel_backend();
-    if (k != KernelBackend::kScalar) {
-      metrics->add(std::string("nn.kernels.") + kernel_backend_name(k));
-    }
   }
   return values[end - 1];
 }

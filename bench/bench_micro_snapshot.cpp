@@ -56,44 +56,71 @@ BENCHMARK(BM_SnapshotRestoreHeap)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SnapshotTypedArray(benchmark::State& state) {
-  // Feature-data path: one big Float32Array (decimal-text encoding).
-  jsvm::Interpreter interp;
-  const auto n = state.range(0);
+/// A realm holding one n-element Float32Array of feature-like values.
+void fill_feature(jsvm::Interpreter& interp, std::int64_t n) {
   interp.eval_program(
       "var feature = Float32Array(" + std::to_string(n) + ");\n"
       "for (var i = 0; i < feature.length; i++) {\n"
       "  feature[i] = i * 0.001 - 17.5;\n"
       "}\n");
-  std::uint64_t text_bytes = 0;
+}
+
+// Feature-data path: one big Float32Array. The text/base64 pairs run at the
+// same sizes so each pair compares like with like within one run.
+void typed_array_capture(benchmark::State& state, bool base64) {
+  jsvm::Interpreter interp;
+  const auto n = state.range(0);
+  fill_feature(interp, n);
+  jsvm::SnapshotOptions opts;
+  opts.base64_typed_arrays = base64;
+  std::uint64_t payload_bytes = 0;
   for (auto _ : state) {
-    auto snap = jsvm::capture_snapshot(interp);
-    text_bytes = snap.stats.typed_array_bytes;
+    auto snap = jsvm::capture_snapshot(interp, opts);
+    payload_bytes = snap.stats.typed_array_bytes;
     benchmark::DoNotOptimize(snap);
   }
   state.counters["text_expansion"] =
-      static_cast<double>(text_bytes) / (static_cast<double>(n) * 4.0);
+      static_cast<double>(payload_bytes) / (static_cast<double>(n) * 4.0);
 }
-BENCHMARK(BM_SnapshotTypedArray)
-    ->Arg(10'000)
-    ->Arg(100'000)
-    ->Arg(802'816)  // GoogLeNet conv1 feature (64x112x112)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_SnapshotTypedArrayBase64(benchmark::State& state) {
+void typed_array_restore(benchmark::State& state, bool base64) {
   jsvm::Interpreter interp;
-  interp.eval_program(
-      "var feature = Float32Array(100000);\n"
-      "for (var i = 0; i < feature.length; i++) {\n"
-      "  feature[i] = i * 0.001 - 17.5;\n"
-      "}\n");
+  fill_feature(interp, state.range(0));
   jsvm::SnapshotOptions opts;
-  opts.base64_typed_arrays = true;
+  opts.base64_typed_arrays = base64;
+  const auto snap = jsvm::capture_snapshot(interp, opts);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(jsvm::capture_snapshot(interp, opts));
+    jsvm::Interpreter fresh;
+    jsvm::restore_snapshot(fresh, snap.program);
+    benchmark::DoNotOptimize(fresh.globals());
   }
+  state.counters["snapshot_bytes"] =
+      static_cast<double>(snap.stats.total_bytes);
 }
-BENCHMARK(BM_SnapshotTypedArrayBase64)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotTypedArray(benchmark::State& state) {
+  typed_array_capture(state, /*base64=*/false);
+}
+void BM_SnapshotTypedArrayBase64(benchmark::State& state) {
+  typed_array_capture(state, /*base64=*/true);
+}
+void BM_SnapshotRestoreTypedArray(benchmark::State& state) {
+  typed_array_restore(state, /*base64=*/false);
+}
+void BM_SnapshotRestoreTypedArrayBase64(benchmark::State& state) {
+  typed_array_restore(state, /*base64=*/true);
+}
+
+void typed_array_sizes(benchmark::internal::Benchmark* b) {
+  b->Arg(10'000)
+      ->Arg(100'000)
+      ->Arg(802'816)  // GoogLeNet conv1 feature (64x112x112)
+      ->Unit(benchmark::kMillisecond);
+}
+BENCHMARK(BM_SnapshotTypedArray)->Apply(typed_array_sizes);
+BENCHMARK(BM_SnapshotTypedArrayBase64)->Apply(typed_array_sizes);
+BENCHMARK(BM_SnapshotRestoreTypedArray)->Apply(typed_array_sizes);
+BENCHMARK(BM_SnapshotRestoreTypedArrayBase64)->Apply(typed_array_sizes);
 
 void BM_SnapshotRoundTripWithPendingEvent(benchmark::State& state) {
   jsvm::Interpreter interp;

@@ -21,6 +21,7 @@ enum class ExprKind : std::uint8_t {
   kThis,
   kIdentifier,
   kArray,
+  kNumberList,
   kObject,
   kFunction,
   kUnary,
@@ -107,6 +108,15 @@ struct IdentifierExpr final : Expr {
 struct ArrayExpr final : Expr {
   ArrayExpr() : Expr(ExprKind::kArray) {}
   std::vector<ExprPtr> elements;
+};
+
+/// An array literal whose elements are all plain numbers (`[1, -2.5e3]`),
+/// decoded by the lexer in one scan. It evaluates to the same ArrayObj of
+/// doubles as the equivalent ArrayExpr; as the sole argument of the
+/// Float32Array native it fills the typed array directly.
+struct NumberListExpr final : Expr {
+  NumberListExpr() : Expr(ExprKind::kNumberList) {}
+  std::vector<double> values;
 };
 
 struct ObjectExpr final : Expr {

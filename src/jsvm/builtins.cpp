@@ -433,6 +433,7 @@ void Interpreter::install_builtins() {
         return make_f32(arg_or_undefined(args, 0));
       });
   set_global("Float32Array", f32_ctor);
+  float32_array_ = f32_ctor;
 
   // ------------------------------------------- snapshot restore intrinsics
   set_global("__f32", f32_ctor);

@@ -3,6 +3,7 @@
 // the restoring side (the paper's reference [11], "closure reconstruction").
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -29,17 +30,21 @@ class Environment : public std::enable_shared_from_this<Environment> {
   /// Look up through the chain; nullptr if unbound.
   Value* find(std::string_view name);
 
-  /// Look up only in this environment.
-  Value* find_local(std::string_view name);
-
-  /// Assign through the chain. Returns false if the name is unbound
-  /// anywhere (caller decides whether that is an error or an implicit
-  /// global, JS-style).
-  bool assign(std::string_view name, const Value& value);
-
  private:
+  static std::size_t hash_name(std::string_view name);
+  Value* scan(std::string_view name);
+  Value* probe(std::string_view name, std::size_t hash);
+  void index_slot(std::size_t slot, std::size_t hash);
+  void rebuild_index();
+
   EnvPtr parent_;
   std::vector<std::pair<std::string, Value>> slots_;
+  /// Open-addressed name → slot table (slot + 1, 0 = empty; size a power
+  /// of two, at most half full). Empty while the scope is small enough for
+  /// a linear scan of slots_, which is every function scope in practice;
+  /// the global scope and a snapshot's restore scope (one slot per heap
+  /// object) get one.
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace offload::jsvm

@@ -1,5 +1,6 @@
 #include "src/jsvm/interpreter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -175,6 +176,12 @@ Value Interpreter::eval_expr(const Expr& expr, const EnvPtr& env) {
       for (const auto& el : e.elements) {
         arr->elements.push_back(eval_expr(*el, env));
       }
+      return arr;
+    }
+    case ExprKind::kNumberList: {
+      const auto& e = static_cast<const NumberListExpr&>(expr);
+      auto arr = std::make_shared<ArrayObj>();
+      arr->elements.assign(e.values.begin(), e.values.end());
       return arr;
     }
     case ExprKind::kObject: {
@@ -374,6 +381,23 @@ Value Interpreter::eval_call(const CallExpr& call, const EnvPtr& env) {
     callee = get_index(this_value, idx);
   } else {
     callee = eval_expr(*call.callee, env);
+  }
+  // Float32Array over a number-list literal, the `__f32([...])` of every
+  // text snapshot: fill the floats straight from the parsed doubles. The
+  // identity check leaves a rebound `__f32` or `Float32Array` to the
+  // generic path. Same floats (double, then static_cast<float>) and the
+  // same call count as that path.
+  if (call.args.size() == 1 && call.args[0]->kind == ExprKind::kNumberList) {
+    const auto* native = std::get_if<NativeFnPtr>(&callee);
+    if (native && *native == float32_array_) {
+      ++stats_.calls;
+      const auto& list = static_cast<const NumberListExpr&>(*call.args[0]);
+      auto ta = std::make_shared<TypedArray>();
+      ta->data.resize(list.values.size());
+      std::transform(list.values.begin(), list.values.end(), ta->data.begin(),
+                     [](double v) { return static_cast<float>(v); });
+      return ta;
+    }
   }
   std::vector<Value> args;
   args.reserve(call.args.size());

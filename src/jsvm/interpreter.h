@@ -153,6 +153,7 @@ class Interpreter {
   std::deque<PendingEvent> event_queue_;
   std::optional<PendingEvent> pending_offload_;
   std::unordered_map<std::string, NativeFnPtr> natives_;
+  NativeFnPtr float32_array_;  ///< the built-in Float32Array (and __f32)
   std::vector<std::pair<std::string, Value>> ambient_globals_;
   std::vector<Value> this_stack_;
   ProgramPtr current_program_;  ///< program being evaluated (for closures)

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <unordered_map>
+#include <vector>
 
 namespace offload::jsvm {
 namespace {
@@ -21,6 +22,25 @@ const std::unordered_map<std::string_view, TokenKind>& keywords() {
   return map;
 }
 
+/// Tokens after which a `[` indexes (`x[0]`, `f()[1]`, `"s"[0]`) rather
+/// than opening an array literal. `}` and `++`/`--` count too: the lexer
+/// cannot tell a block from an object literal, and a list after them is
+/// rare enough to leave to the generic path.
+bool ends_operand(TokenKind kind) {
+  switch (kind) {
+    case TokenKind::kIdentifier: case TokenKind::kNumber:
+    case TokenKind::kString: case TokenKind::kNumberList:
+    case TokenKind::kTrue: case TokenKind::kFalse: case TokenKind::kNull:
+    case TokenKind::kUndefined: case TokenKind::kThis:
+    case TokenKind::kRParen: case TokenKind::kRBracket:
+    case TokenKind::kRBrace: case TokenKind::kPlusPlus:
+    case TokenKind::kMinusMinus:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 const char* token_kind_name(TokenKind kind) {
@@ -29,6 +49,9 @@ const char* token_kind_name(TokenKind kind) {
     case TokenKind::kIdentifier: return "identifier";
     case TokenKind::kNumber: return "number";
     case TokenKind::kString: return "string";
+    // A number list stands where the generic path has its '[', so errors
+    // at it read the same on both paths.
+    case TokenKind::kNumberList: return "'['";
     case TokenKind::kVar: return "'var'";
     case TokenKind::kFunction: return "'function'";
     case TokenKind::kIf: return "'if'";
@@ -92,15 +115,10 @@ void Lexer::fail(const std::string& message) const {
   throw ParseError(message, line_of(src_, pos_));
 }
 
-std::vector<Token> Lexer::tokenize() {
-  std::vector<Token> tokens;
-  while (true) {
-    Token t = next();
-    bool done = t.kind == TokenKind::kEof;
-    tokens.push_back(std::move(t));
-    if (done) break;
-  }
-  return tokens;
+Token Lexer::next() {
+  Token t = lex_token();
+  after_operand_ = ends_operand(t.kind);
+  return t;
 }
 
 void Lexer::skip_trivia() {
@@ -146,6 +164,62 @@ Token Lexer::lex_number() {
   auto [ptr, ec] = std::from_chars(first, last, t.number);
   if (ec != std::errc() || ptr != last) fail("malformed number literal");
   return t;
+}
+
+/// Scans `[` elements `]` where every element is an optional single `-`
+/// followed by exactly lex_number's grammar, separated by `,` and
+/// whitespace. Each value is what the generic path computes: from_chars of
+/// the same digits, then the unary minus. On any other character (a
+/// comment, a trailing comma, `NaN`, parentheses, a nested list) it leaves
+/// pos_ alone and returns false, so the list lexes token by token and its
+/// errors and semantics are the generic path's.
+bool Lexer::lex_number_list(Token& t) {
+  const char* const data = src_.data();
+  const std::size_t size = src_.size();
+  auto at = [&](std::size_t i) { return i < size ? data[i] : '\0'; };
+  auto digit = [&](std::size_t i) {
+    return std::isdigit(static_cast<unsigned char>(at(i))) != 0;
+  };
+  auto skip_space = [&](std::size_t& i) {
+    while (std::isspace(static_cast<unsigned char>(at(i)))) ++i;
+  };
+  std::vector<double> values;
+  std::size_t p = pos_ + 1;
+  skip_space(p);
+  if (at(p) != ']') {
+    while (true) {
+      const bool negative = at(p) == '-';
+      if (negative) ++p;
+      const std::size_t begin = p;
+      if (!digit(p)) return false;
+      while (digit(p)) ++p;
+      if (at(p) == '.' && digit(p + 1)) {
+        ++p;
+        while (digit(p)) ++p;
+      }
+      if (at(p) == 'e' || at(p) == 'E') {
+        std::size_t q = p + 1;
+        if (at(q) == '+' || at(q) == '-') ++q;
+        if (!digit(q)) return false;
+        p = q;
+        while (digit(p)) ++p;
+      }
+      double value = 0.0;
+      auto [ptr, ec] = std::from_chars(data + begin, data + p, value);
+      if (ec != std::errc() || ptr != data + p) return false;
+      values.push_back(negative ? -value : value);
+      skip_space(p);
+      if (at(p) == ']') break;
+      if (at(p) != ',') return false;
+      ++p;
+      skip_space(p);
+    }
+  }
+  pos_ = p + 1;
+  t.kind = TokenKind::kNumberList;
+  t.end = pos_;
+  t.numbers = std::move(values);
+  return true;
 }
 
 Token Lexer::lex_string(char quote) {
@@ -224,7 +298,7 @@ Token Lexer::lex_identifier() {
   return t;
 }
 
-Token Lexer::next() {
+Token Lexer::lex_token() {
   skip_trivia();
   Token t;
   t.begin = pos_;
@@ -259,7 +333,9 @@ Token Lexer::next() {
     case ')': return one(TokenKind::kRParen);
     case '{': return one(TokenKind::kLBrace);
     case '}': return one(TokenKind::kRBrace);
-    case '[': return one(TokenKind::kLBracket);
+    case '[':
+      if (!after_operand_ && lex_number_list(t)) return t;
+      return one(TokenKind::kLBracket);
     case ']': return one(TokenKind::kRBracket);
     case ',': return one(TokenKind::kComma);
     case ';': return one(TokenKind::kSemicolon);

@@ -1,12 +1,12 @@
 // Hand-written lexer for MicroJS. Supports // and /* */ comments, decimal
 // and exponent number literals, and single- or double-quoted strings with
-// the common escape sequences.
+// the common escape sequences. The parser pulls tokens one at a time, so a
+// large snapshot never exists as a token vector.
 #pragma once
 
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/jsvm/token.h"
 
@@ -28,18 +28,19 @@ class Lexer {
  public:
   explicit Lexer(std::string_view source) : src_(source) {}
 
-  /// Tokenize the whole input (ends with a kEof token).
-  std::vector<Token> tokenize();
+  /// The next token; kEof at the end, and again on every later call.
+  Token next();
 
   /// 1-based line of a byte offset (for diagnostics).
   static std::size_t line_of(std::string_view source, std::size_t offset);
 
  private:
-  Token next();
+  Token lex_token();
   void skip_trivia();
   Token lex_number();
   Token lex_string(char quote);
   Token lex_identifier();
+  bool lex_number_list(Token& t);
   [[noreturn]] void fail(const std::string& message) const;
 
   char peek(std::size_t ahead = 0) const {
@@ -49,6 +50,9 @@ class Lexer {
 
   std::string_view src_;
   std::size_t pos_ = 0;
+  /// True when the last token can end an operand, so a `[` after it is an
+  /// index, never the start of a number list.
+  bool after_operand_ = false;
 };
 
 }  // namespace offload::jsvm

@@ -20,8 +20,8 @@ constexpr int kMaxNestingDepth = 256;
 
 class Parser {
  public:
-  Parser(std::string_view source, std::vector<Token> tokens)
-      : src_(source), tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view source)
+      : src_(source), lexer_(source), tok_(lexer_.next()) {}
 
   std::vector<StmtPtr> parse_statements_until_eof() {
     std::vector<StmtPtr> stmts;
@@ -119,7 +119,7 @@ class Parser {
     fn->src_begin = peek().begin;
     expect(TokenKind::kFunction);
     if (at(TokenKind::kIdentifier)) {
-      fn->name = peek().text;
+      fn->name = std::move(tok_.text);
       advance();
     }
     expect(TokenKind::kLParen);
@@ -443,9 +443,15 @@ class Parser {
         advance();
         return e;
       }
+      case TokenKind::kNumberList: {
+        auto e = make_expr<NumberListExpr>(t.begin);
+        e->values = std::move(tok_.numbers);
+        advance();
+        return e;
+      }
       case TokenKind::kString: {
         auto e = make_expr<StringExpr>(t.begin);
-        e->value = t.text;
+        e->value = std::move(tok_.text);
         advance();
         return e;
       }
@@ -473,7 +479,7 @@ class Parser {
       }
       case TokenKind::kIdentifier: {
         auto e = make_expr<IdentifierExpr>(t.begin);
-        e->name = t.text;
+        e->name = std::move(tok_.text);
         advance();
         return e;
       }
@@ -505,7 +511,7 @@ class Parser {
           while (true) {
             std::string key;
             if (at(TokenKind::kString)) {
-              key = peek().text;
+              key = std::move(tok_.text);
               advance();
             } else if (at(TokenKind::kNumber)) {
               // Numeric keys appear in snapshot env tables; store as text.
@@ -544,12 +550,12 @@ class Parser {
     return e;
   }
 
-  const Token& peek() const { return tokens_[pos_]; }
-  bool at(TokenKind kind) const { return peek().kind == kind; }
+  const Token& peek() const { return tok_; }
+  bool at(TokenKind kind) const { return tok_.kind == kind; }
 
   void advance() {
-    prev_end_ = peek().end;
-    if (pos_ + 1 < tokens_.size()) ++pos_;
+    prev_end_ = tok_.end;
+    if (tok_.kind != TokenKind::kEof) tok_ = lexer_.next();
   }
 
   void expect(TokenKind kind) {
@@ -565,7 +571,7 @@ class Parser {
       fail(std::string("expected identifier, got ") +
            token_kind_name(peek().kind));
     }
-    std::string name = peek().text;
+    std::string name = std::move(tok_.text);
     advance();
     return name;
   }
@@ -574,7 +580,7 @@ class Parser {
   std::string expect_identifier_or_keyword() {
     const Token& t = peek();
     if (t.kind == TokenKind::kIdentifier) {
-      std::string name = t.text;
+      std::string name = std::move(tok_.text);
       advance();
       return name;
     }
@@ -604,8 +610,8 @@ class Parser {
   }
 
   std::string_view src_;
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  Lexer lexer_;
+  Token tok_;  ///< the current token; the lexer runs one token ahead
   std::size_t prev_end_ = 0;
   int depth_ = 0;  ///< open DepthGuards
 };
@@ -616,8 +622,7 @@ ProgramPtr parse_program(std::string_view source, std::string origin) {
   auto program = std::make_shared<Program>();
   program->source = std::string(source);
   program->origin = std::move(origin);
-  Lexer lexer(program->source);
-  Parser parser(program->source, lexer.tokenize());
+  Parser parser(program->source);
   program->statements = parser.parse_statements_until_eof();
   return program;
 }
@@ -626,8 +631,7 @@ ProgramPtr parse_function_source(std::string_view source, std::string origin) {
   auto program = std::make_shared<Program>();
   program->source = std::string(source);
   program->origin = std::move(origin);
-  Lexer lexer(program->source);
-  Parser parser(program->source, lexer.tokenize());
+  Parser parser(program->source);
   auto fn = parser.parse_single_function();
   auto stmt = std::make_unique<ExprStmt>();
   stmt->begin = fn->begin;

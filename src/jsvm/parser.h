@@ -12,7 +12,9 @@
 
 namespace offload::jsvm {
 
-/// Parse a full program. Throws ParseError on malformed input.
+/// Parse a full program, pulling tokens from the lexer one at a time. The
+/// whole program is parsed before any of it runs. Throws ParseError on
+/// malformed input.
 ProgramPtr parse_program(std::string_view source, std::string origin = "app");
 
 /// Parse a single function expression, e.g. "function (a) { return a; }".

@@ -3,13 +3,11 @@
 #include <unordered_map>
 
 #include "src/jsvm/snapshot_text.h"
-#include "src/util/base64.h"
 
 namespace offload::jsvm {
 namespace {
 
 using detail::escape_string;
-using detail::float_to_text;
 
 /// Serializer state: one pass of discovery, then ordered emission.
 class Writer {
@@ -142,24 +140,10 @@ class Writer {
   void emit_typed_arrays() {
     stats_.typed_arrays = ta_list_.size();
     for (std::size_t i = 0; i < ta_list_.size(); ++i) {
-      const TypedArrayPtr& ta = ta_list_[i];
-      std::string payload;
-      if (options_.base64_typed_arrays) {
-        payload = "__f32b64(" +
-                  escape_string(util::base64_encode(std::span(
-                      reinterpret_cast<const std::uint8_t*>(ta->data.data()),
-                      ta->data.size() * sizeof(float)))) +
-                  ")";
-      } else {
-        payload = "__f32([";
-        for (std::size_t j = 0; j < ta->data.size(); ++j) {
-          if (j) payload.push_back(',');
-          payload += float_to_text(ta->data[j]);
-        }
-        payload += "])";
-      }
-      stats_.typed_array_bytes += payload.size();
-      out_ += "var __t" + std::to_string(i) + " = " + payload + ";\n";
+      out_ += "var __t" + std::to_string(i) + " = ";
+      stats_.typed_array_bytes += detail::append_typed_array(
+          out_, ta_list_[i]->data, options_.base64_typed_arrays);
+      out_ += ";\n";
     }
   }
 
@@ -282,9 +266,8 @@ class Writer {
       std::string operator()(const Null&) { return "null"; }
       std::string operator()(bool b) { return b ? "true" : "false"; }
       std::string operator()(double d) {
-        std::string s = number_to_string(d);
         // Negative literals are fine as unary expressions.
-        return s;
+        return detail::number_text(d);
       }
       std::string operator()(const std::string& s) {
         return escape_string(s);

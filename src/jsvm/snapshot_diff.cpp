@@ -5,13 +5,11 @@
 #include <unordered_set>
 
 #include "src/jsvm/snapshot_text.h"
-#include "src/util/base64.h"
 
 namespace offload::jsvm {
 namespace {
 
 using detail::escape_string;
-using detail::float_to_text;
 
 /// Collect the heap pointers (objects, arrays, typed arrays, functions,
 /// environments, detached DOM nodes) reachable from a value. Attached DOM
@@ -249,24 +247,10 @@ class DiffWriter {
     }
     stats_.typed_arrays = ta_list_.size();
     for (std::size_t i = 0; i < ta_list_.size(); ++i) {
-      const TypedArrayPtr& ta = ta_list_[i];
-      std::string payload;
-      if (options_.base64_typed_arrays) {
-        payload = "__f32b64(" +
-                  escape_string(util::base64_encode(std::span(
-                      reinterpret_cast<const std::uint8_t*>(ta->data.data()),
-                      ta->data.size() * sizeof(float)))) +
-                  ")";
-      } else {
-        payload = "__f32([";
-        for (std::size_t j = 0; j < ta->data.size(); ++j) {
-          if (j) payload.push_back(',');
-          payload += float_to_text(ta->data[j]);
-        }
-        payload += "])";
-      }
-      stats_.typed_array_bytes += payload.size();
-      out_ += "var __t" + std::to_string(i) + " = " + payload + ";\n";
+      out_ += "var __t" + std::to_string(i) + " = ";
+      stats_.typed_array_bytes += detail::append_typed_array(
+          out_, ta_list_[i]->data, options_.base64_typed_arrays);
+      out_ += ";\n";
     }
     stats_.objects = obj_list_.size();
     for (std::size_t i = 0; i < obj_list_.size(); ++i) {
@@ -347,16 +331,12 @@ class DiffWriter {
               escape_string(v) + ");\n";
     }
     if (node->canvas_data) {
-      // Canvas pixels count as feature-class payload.
-      std::string payload = "__f32([";
-      const auto& data = node->canvas_data->data;
-      for (std::size_t j = 0; j < data.size(); ++j) {
-        if (j) payload.push_back(',');
-        payload += float_to_text(data[j]);
-      }
-      payload += "])";
-      stats_.typed_array_bytes += payload.size();
-      out_ += ref + ".setImageData(" + payload + ");\n";
+      // Canvas pixels count as feature-class payload. They are always
+      // written as text, whatever base64_typed_arrays says.
+      out_ += ref + ".setImageData(";
+      stats_.typed_array_bytes += detail::append_typed_array(
+          out_, node->canvas_data->data, /*base64=*/false);
+      out_ += ");\n";
     }
   }
 
@@ -366,7 +346,7 @@ class DiffWriter {
       std::string operator()(const Undefined&) { return "undefined"; }
       std::string operator()(const Null&) { return "null"; }
       std::string operator()(bool b) { return b ? "true" : "false"; }
-      std::string operator()(double d) { return number_to_string(d); }
+      std::string operator()(double d) { return detail::number_text(d); }
       std::string operator()(const std::string& s) {
         return escape_string(s);
       }

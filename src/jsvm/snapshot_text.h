@@ -3,9 +3,16 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "src/jsvm/value.h"
+#include "src/util/base64.h"
 
 namespace offload::jsvm::detail {
 
@@ -35,10 +42,67 @@ inline std::string escape_string(std::string_view s) {
   return out;
 }
 
-inline std::string float_to_text(float v) {
+/// Whether `0/0` evaluates to a NaN with its sign bit set on this machine
+/// (x86's default NaN is negative, ARM's positive).
+inline bool division_nan_is_negative() {
+  static const bool negative = [] {
+    volatile double zero = 0.0;
+    return std::signbit(zero / zero);
+  }();
+  return negative;
+}
+
+/// Restorable text for a non-finite number. MicroJS has no NaN or Infinity
+/// literal, and an ambient `NaN` global would not help: values_equal(NaN,
+/// NaN) is false, so the writer would emit it into every snapshot. The
+/// value is written as the division that makes it, parenthesized so it
+/// reads as one operand anywhere. A NaN keeps its sign bit, so capturing
+/// the restored realm again gives the same text.
+inline const char* non_finite_text(double v) {
+  if (std::isnan(v)) {
+    return std::signbit(v) == division_nan_is_negative() ? "(0/0)"
+                                                         : "(-(0/0))";
+  }
+  return v > 0 ? "(1/0)" : "(-1/0)";
+}
+
+/// Snapshot text for a number value.
+inline std::string number_text(double v) {
+  return std::isfinite(v) ? number_to_string(v) : non_finite_text(v);
+}
+
+/// Appends the restore expression of a Float32Array's contents to `out`:
+/// `__f32([...])` with each float's shortest round-trip text, or
+/// `__f32b64("...")` when `base64`. Returns the bytes appended (the
+/// snapshot's feature-data share).
+inline std::size_t append_typed_array(std::string& out,
+                                      const std::vector<float>& data,
+                                      bool base64) {
+  const std::size_t start = out.size();
+  if (base64) {
+    // The base64 alphabet has nothing escape_string would escape.
+    out += "__f32b64(\"";
+    out += util::base64_encode(
+        std::span(reinterpret_cast<const std::uint8_t*>(data.data()),
+                  data.size() * sizeof(float)));
+    out += "\")";
+    return out.size() - start;
+  }
+  // ~10 bytes per element for typical feature values; append grows past it.
+  out.reserve(start + data.size() * 10 + 9);
+  out += "__f32([";
   char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, ptr);
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    if (j) out.push_back(',');
+    if (std::isfinite(data[j])) {
+      auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), data[j]);
+      out.append(buf, ptr);
+    } else {
+      out += non_finite_text(data[j]);
+    }
+  }
+  out += "])";
+  return out.size() - start;
 }
 
 }  // namespace offload::jsvm::detail

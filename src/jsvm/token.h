@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace offload::jsvm {
 
@@ -14,6 +15,9 @@ enum class TokenKind : std::uint8_t {
   kIdentifier,
   kNumber,
   kString,
+  /// A whole `[n, -n, ...]` literal of plain numbers, lexed in one scan
+  /// where an expression starts (see Lexer::lex_number_list).
+  kNumberList,
   // Keywords.
   kVar,
   kFunction,
@@ -71,6 +75,7 @@ struct Token {
   std::size_t end = 0;    ///< one past last char
   double number = 0.0;    ///< for kNumber
   std::string text;       ///< identifier name or decoded string literal
+  std::vector<double> numbers;  ///< for kNumberList, in source order
 };
 
 const char* token_kind_name(TokenKind kind);

@@ -165,8 +165,8 @@ std::string to_display_string(const Value& v);
 /// apps use them).
 bool values_equal(const Value& a, const Value& b);
 
-/// Shortest round-trip decimal text for a double (what the snapshot writer
-/// and to_display_string emit).
+/// Shortest round-trip decimal text for a double (what to_display_string
+/// emits, and the snapshot writer for finite values).
 std::string number_to_string(double v);
 
 }  // namespace offload::jsvm

@@ -457,5 +457,116 @@ TEST(InterpreterMisc, StatsCount) {
   EXPECT_GE(interp.stats().statements, 3u);
 }
 
+TEST(Environment, IndexedScopeKeepsOrderRedeclarationAndShadowing) {
+  // Past a handful of slots a scope looks names up through a hash index;
+  // slots() must stay in declaration order for the snapshot writer.
+  auto outer = std::make_shared<Environment>();
+  auto inner = std::make_shared<Environment>(outer);
+  for (int i = 0; i < 1000; ++i) {
+    outer->declare("v" + std::to_string(i), static_cast<double>(i));
+  }
+  for (int i = 0; i < 3; ++i) {
+    inner->declare("v" + std::to_string(i * 7), -1.0);
+  }
+  outer->declare("v500", 5000.0);  // redeclare: same slot, new value
+  ASSERT_EQ(outer->slots().size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(outer->slots()[static_cast<std::size_t>(i)].first,
+              "v" + std::to_string(i));
+  }
+  EXPECT_EQ(to_number(*outer->find("v500")), 5000);
+  EXPECT_EQ(to_number(*inner->find("v7")), -1);   // shadowed
+  EXPECT_EQ(to_number(*inner->find("v8")), 8);    // through the chain
+  EXPECT_EQ(inner->find("v1000"), nullptr);
+  EXPECT_EQ(outer->find("v14"), &outer->slots()[14].second);
+}
+
+// An all-numeric array literal in expression position is lexed in one scan
+// (Lexer::lex_number_list). Everything else must behave as the generic,
+// token-by-token path did before that scan existed.
+
+TEST(InterpreterNumberList, MalformedListsFailLikeTheGenericPath) {
+  struct Case {
+    const char* source;
+    bool parse_error;  ///< else a JsError at run time
+    const char* message;
+  };
+  const Case cases[] = {
+      {"var a = [1,];", true, "line 1: unexpected ']'"},
+      {"var a = [1 2];", true, "line 1: expected ']', got number"},
+      {"var a = [1e];", true, "line 1: expected ']', got identifier"},
+      {"var a = [.5];", true, "line 1: unexpected '.'"},
+      {"var a = [1, nan];", false, "'nan' is not defined (line 1 of app)"},
+      {"var a = __f32([1,]);", true, "line 1: unexpected ']'"},
+      {"var a = [1,2", true, "line 1: expected ']', got end of input"},
+      {"var a = [1e999];", true, "line 1: malformed number literal"},
+      {"var a = [1,\n2,\n,3];", true, "line 3: unexpected ','"},
+      {"var a = [-];", true, "line 1: unexpected ']'"},
+      // The list stands where the generic path has its '[': same message.
+      {"var [1, 2];", true, "line 1: expected identifier, got '['"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.source);
+    Interpreter interp;
+    try {
+      interp.eval_program(c.source);
+      ADD_FAILURE() << "no error";
+    } catch (const ParseError& e) {
+      EXPECT_TRUE(c.parse_error);
+      EXPECT_STREQ(e.what(), c.message);
+    } catch (const JsError& e) {
+      EXPECT_FALSE(c.parse_error);
+      EXPECT_STREQ(e.what(), c.message);
+    }
+  }
+}
+
+TEST(InterpreterNumberList, ListsOutsideTheScanGrammarStillEvaluate) {
+  EXPECT_EQ(eval_number("var a = [- -1]; a[0];"), 1);
+  EXPECT_EQ(eval_number("var a = [1, /* c */ 2]; a[1];"), 2);
+  EXPECT_EQ(eval_number("var a = [1-2]; a[0];"), -1);
+  EXPECT_EQ(eval_number("var a = [[1, 2], [3]]; a[0][1] + a[1][0];"), 5);
+  EXPECT_EQ(eval_number("var a = [ 1 ,\n -2.5e1 ]; a[0] + a[1];"), -24);
+  EXPECT_EQ(eval_number("var a = []; a.length;"), 0);
+  EXPECT_EQ(eval_string("typeof [1];"), "object");
+}
+
+TEST(InterpreterNumberList, IndexContextsKeepIndexing) {
+  EXPECT_EQ(eval_number("var x = [7, 8]; x[0];"), 7);
+  EXPECT_EQ(eval_number("function f() { return [4, 5]; } f()[1];"), 5);
+  EXPECT_EQ(eval_string("\"s\"[0];"), "s");
+  EXPECT_EQ(eval_number("var a = [3, 4]; a [1];"), 4);
+  EXPECT_EQ(eval_number("var a = [[1, 2], [3, 4]]; var i = 1; a[i][0];"), 3);
+  EXPECT_EQ(eval_number("[1, 2][1];"), 2);
+  EXPECT_EQ(eval_number("var x = [1, 2] [0]; x;"), 1);
+}
+
+TEST(InterpreterNumberList, Float32ArrayFastPathCountsTheCall) {
+  Interpreter interp;
+  const auto before = interp.stats().calls;
+  interp.eval_program("var t = __f32([1.5, -2, 3e2]);");
+  EXPECT_EQ(interp.stats().calls, before + 1);
+  auto t = std::get<TypedArrayPtr>(*interp.globals()->find("t"));
+  EXPECT_EQ(t->data, (std::vector<float>{1.5f, -2.0f, 300.0f}));
+}
+
+TEST(InterpreterNumberList, RebindingF32RunsTheAppsFunction) {
+  EXPECT_EQ(eval_number("__f32 = function(a) { return a.length * 10; }; "
+                        "__f32([1, 2, 3]);"),
+            30);
+  EXPECT_EQ(eval_string("Float32Array = function(a) { return 'mine'; }; "
+                        "Float32Array([1]);"),
+            "mine");
+  // A local binding shadows the global the same way.
+  EXPECT_EQ(eval_number("function g(__f32) { return __f32([4, 5]); } "
+                        "g(function(a) { return a[1]; });"),
+            5);
+  // Rebinding one name leaves the other built-in in place.
+  Interpreter interp;
+  interp.eval_program("__f32 = 0; var t = Float32Array([2, 4]);");
+  auto t = std::get<TypedArrayPtr>(*interp.globals()->find("t"));
+  EXPECT_EQ(t->data, (std::vector<float>{2.0f, 4.0f}));
+}
+
 }  // namespace
 }  // namespace offload::jsvm

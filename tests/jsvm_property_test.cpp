@@ -5,10 +5,15 @@
 // distinct ones stay distinct).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
 #include "src/jsvm/lexer.h"
+#include "src/jsvm/parser.h"
 #include "src/jsvm/snapshot.h"
 #include "src/jsvm/snapshot_diff.h"
 #include "src/util/rng.h"
@@ -300,17 +305,56 @@ TEST(SnapshotProperty, ParserRejectsMutatedSnapshotsSafely) {
 TEST(SnapshotProperty, SpecialFloatsRoundTrip) {
   Interpreter a;
   a.eval_program(
-      "var t = Float32Array(6); t[0] = 0; t[1] = -0.0; "
-      "t[2] = 1e38; t[3] = -1e-38; t[4] = 3.4028235e38; t[5] = 1.4e-45;");
+      "var t = Float32Array(10); t[0] = 0; t[1] = -0.0; "
+      "t[2] = 1e38; t[3] = -1e-38; t[4] = 3.4028235e38; t[5] = 1.4e-45; "
+      "t[6] = 0/0; t[7] = -(0/0); t[8] = 1/0; t[9] = -1/0; "
+      "var nan = 0/0; var neg_nan = -(0/0); var inf = 1/0; var ninf = -1/0;");
   auto ta = std::get<TypedArrayPtr>(*a.globals()->find("t"));
+  ASSERT_TRUE(std::isnan(ta->data[6]) && std::isnan(ta->data[7]));
+  ASSERT_NE(std::signbit(ta->data[6]), std::signbit(ta->data[7]));
   SnapshotResult snap = capture_snapshot(a);
   Interpreter b;
   restore_snapshot(b, snap.program);
   auto tb = std::get<TypedArrayPtr>(*b.globals()->find("t"));
-  for (std::size_t i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(ta->data[i]),
               std::bit_cast<std::uint32_t>(tb->data[i]))
         << "slot " << i;
+  }
+  for (const char* name : {"nan", "neg_nan", "inf", "ninf"}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  std::get<double>(*a.globals()->find(name))),
+              std::bit_cast<std::uint64_t>(
+                  std::get<double>(*b.globals()->find(name))))
+        << name;
+  }
+  // The restored realm captures to the same text.
+  EXPECT_EQ(capture_snapshot(b).program, snap.program);
+
+  // A canvas whose pixels change after the baseline travels as a DOM
+  // content diff, always as __f32 text.
+  Interpreter client;
+  client.eval_program(
+      "var c = document.createElement('canvas'); "
+      "document.body.appendChild(c); c.setImageData(Float32Array(4));");
+  Interpreter server;
+  restore_snapshot(server, capture_snapshot(client).program);
+  RealmFingerprint baseline = fingerprint_realm(client);
+  client.eval_program(
+      "var px = c.getImageData(); px[0] = 0/0; px[1] = 1/0; px[2] = -1/0; "
+      "px[3] = -(0/0); px = undefined;");
+  DiffSnapshotResult diff = capture_snapshot_diff(client, baseline);
+  ASSERT_FALSE(diff.full_fallback);
+  server.eval_program(diff.program, "diff");
+  const auto& sent =
+      std::get<DomNodePtr>(*client.globals()->find("c"))->canvas_data->data;
+  const auto& got =
+      std::get<DomNodePtr>(*server.globals()->find("c"))->canvas_data->data;
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(sent[i]),
+              std::bit_cast<std::uint32_t>(got[i]))
+        << "pixel " << i;
   }
 }
 
@@ -375,6 +419,101 @@ TEST_P(DiffProperty, RandomMutationThenDiffConverges) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffProperty,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+// --------------------------------------------------- number-list fast path
+
+/// Random floats of every class the writer emits: zeros of both signs,
+/// denormals, `1e-05`-style exponents, FLT_MAX, and arbitrary finite bits.
+float random_float(util::Pcg32& rng) {
+  switch (rng.next_below(8)) {
+    case 0: return rng.chance(0.5) ? 0.0f : -0.0f;
+    case 1: return std::numeric_limits<float>::denorm_min() *
+                   static_cast<float>(1 + rng.next_below(1u << 20));
+    case 2: return static_cast<float>(rng.uniform(-1e-4, 1e-4));
+    case 3: return rng.chance(0.5) ? std::numeric_limits<float>::max()
+                                   : std::numeric_limits<float>::lowest();
+    case 4: return static_cast<float>(rng.next_below(100000)) -
+                   50000.0f;
+    case 5: return static_cast<float>(rng.uniform(-100, 100));
+    default: {
+      float f;
+      do {
+        f = std::bit_cast<float>(rng.next_u32());
+      } while (!std::isfinite(f));
+      return f;
+    }
+  }
+}
+
+std::string float_text(float f) {
+  char buf[32];
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), f);
+  return std::string(buf, ptr);
+}
+
+/// `[e0,e1,...]` with random `,`/whitespace separators; `(e)` per element
+/// when `parenthesized`, which keeps the list on the generic path.
+std::string list_text(const std::vector<std::string>& elements,
+                      const std::vector<std::string>& separators,
+                      bool parenthesized) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    if (i) out += separators[i];
+    out += parenthesized ? "(" + elements[i] + ")" : elements[i];
+  }
+  return out + "]";
+}
+
+class NumberListProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(NumberListProperty, FastPathMatchesGenericPath) {
+  util::Pcg32 rng(GetParam(), 0x6c697374ULL);
+  const std::size_t n = 1 + rng.next_below(300);
+  static const char* const kSeparators[] = {",", ", ", " ,", ",\n", " , "};
+  std::vector<std::string> elements;
+  std::vector<std::string> separators;
+  for (std::size_t i = 0; i < n; ++i) {
+    elements.push_back(float_text(random_float(rng)));
+    separators.push_back(kSeparators[rng.next_below(5)]);
+  }
+  const std::string fast = list_text(elements, separators, false);
+  const std::string generic = list_text(elements, separators, true);
+
+  // The two spellings really take the two paths.
+  auto init_arg = [](const ProgramPtr& program) -> const Expr& {
+    const auto& decl =
+        static_cast<const VarDeclStmt&>(*program->statements.front());
+    return *static_cast<const CallExpr&>(*decl.init).args.front();
+  };
+  EXPECT_EQ(init_arg(parse_program("var t = __f32(" + fast + ");")).kind,
+            ExprKind::kNumberList);
+  EXPECT_EQ(init_arg(parse_program("var t = __f32(" + generic + ");")).kind,
+            ExprKind::kArray);
+
+  Interpreter interp;
+  interp.eval_program("var t1 = __f32(" + fast + "); var t2 = __f32(" +
+                      generic + "); var a1 = " + fast + "; var a2 = " +
+                      generic + ";");
+  const auto& t1 = std::get<TypedArrayPtr>(*interp.globals()->find("t1"));
+  const auto& t2 = std::get<TypedArrayPtr>(*interp.globals()->find("t2"));
+  ASSERT_EQ(t1->data.size(), n);
+  ASSERT_EQ(t2->data.size(), n);
+  const auto& a1 = std::get<ArrayPtr>(*interp.globals()->find("a1"));
+  const auto& a2 = std::get<ArrayPtr>(*interp.globals()->find("a2"));
+  ASSERT_EQ(a1->elements.size(), n);
+  ASSERT_EQ(a2->elements.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(t1->data[i]),
+              std::bit_cast<std::uint32_t>(t2->data[i]))
+        << elements[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(std::get<double>(a1->elements[i])),
+              std::bit_cast<std::uint64_t>(std::get<double>(a2->elements[i])))
+        << elements[i];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NumberListProperty,
+                         ::testing::Range<std::uint64_t>(1, 33));
 
 }  // namespace
 }  // namespace offload::jsvm

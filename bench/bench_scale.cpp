@@ -140,7 +140,7 @@ double wall_now_ms() {
 
 CellResult run_cell(const CellConfig& cell, int partitions) {
   sim::PartitionedSimulation psim(sim::PartitionedSimulation::Options{
-      partitions, std::nullopt, sim::SimTime::max()});
+      partitions, sim::SchedulerKind::kWheel, sim::SimTime::max()});
   const std::size_t shard_count = shards_for(cell.fleet_size);
   const auto classes = workload::default_device_classes();
 

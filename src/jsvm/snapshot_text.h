@@ -1,5 +1,5 @@
-// Shared text-emission helpers for the full and differential snapshot
-// writers (internal header).
+// The snapshot writer and its text-emission helpers, shared by the full
+// and the differential snapshot (internal header).
 #pragma once
 
 #include <charconv>
@@ -9,8 +9,10 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "src/jsvm/snapshot.h"
 #include "src/jsvm/value.h"
 #include "src/util/base64.h"
 
@@ -104,5 +106,96 @@ inline std::size_t append_typed_array(std::string& out,
   out += "])";
   return out.size() - start;
 }
+
+/// Attached DOM nodes by depth-first index, body first: the nodes the
+/// receiver of a differential snapshot already holds.
+using DomIndex = std::unordered_map<const DomNode*, std::size_t>;
+
+/// Discovery-order ids of one kind of heap entity.
+template <typename T>
+struct IdMap {
+  std::unordered_map<const T*, std::size_t> ids;
+  std::vector<const T*> list;
+
+  /// Numbers `p` on first sight; false if it already has an id.
+  bool add(const T* p) {
+    if (!ids.try_emplace(p, list.size()).second) return false;
+    list.push_back(p);
+    return true;
+  }
+  bool contains(const T* p) const { return ids.count(p) > 0; }
+  bool shares_with(const IdMap& other) const {
+    for (const T* p : list) {
+      if (other.contains(p)) return true;
+    }
+    return false;
+  }
+};
+
+/// The one snapshot writer. Discovery numbers every object, array, typed
+/// array, function, environment and DOM node reachable from the roots it is
+/// given, in preorder. Emission then writes envs, typed arrays, shells,
+/// functions, fills and the DOM, and names every value through value_expr.
+///
+/// A full snapshot discovers the whole realm, body first. A differential
+/// snapshot passes `attached`: those nodes are named `__domByIndex(k)` and
+/// are neither walked nor written, because the receiver holds them.
+class Writer {
+ public:
+  Writer(Interpreter& interp, const SnapshotOptions& options,
+         const DomIndex* attached = nullptr)
+      : interp_(interp), options_(options), attached_(attached) {}
+
+  /// Numbers everything reachable from `root` that has no id yet.
+  void discover(const Value& root);
+  /// A global the program assigns at its end; its value is discovered.
+  void add_global(const std::string& name, const Value& value);
+  /// Whether this walk and `other` reached a common heap entity.
+  bool shares_heap_with(const Writer& other) const;
+  bool discovered(const TypedArray* array) const {
+    return typed_.contains(array);
+  }
+
+  /// Opens the program and writes the discovered heap.
+  void begin();
+  /// Writes the globals and pending events, and closes the program.
+  SnapshotResult end();
+
+  std::string value_expr(const Value& value) const;
+  /// Appends a typed array's contents in the configured encoding and
+  /// counts them as feature bytes.
+  void append_typed_array(const std::vector<float>& data);
+  std::string& out() { return out_; }
+
+ private:
+  /// One step of the explicit-stack discovery walk.
+  struct Pending {
+    enum Kind : std::uint8_t {
+      kObject, kArray, kTyped, kFunction, kDom, kEnv, kEnvSlots
+    } kind;
+    const void* ptr;
+  };
+
+  void push(const Value& value);
+  void push_env(const Environment* env);
+  void visit(const Pending& next);
+  void emit_dom();
+  std::string env_expr(const Environment* env) const;
+
+  Interpreter& interp_;
+  SnapshotOptions options_;
+  const DomIndex* attached_;
+  SnapshotStats stats_;
+  std::string out_;
+
+  std::vector<Pending> stack_;
+  std::vector<std::pair<std::string, Value>> globals_;
+  IdMap<Object> objects_;
+  IdMap<ArrayObj> arrays_;
+  IdMap<TypedArray> typed_;
+  IdMap<FunctionObj> functions_;
+  IdMap<Environment> envs_;
+  IdMap<DomNode> dom_;
+};
 
 }  // namespace offload::jsvm::detail

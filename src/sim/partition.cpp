@@ -27,8 +27,8 @@ int PartitionedSimulation::partitions_from_env() {
 }
 
 PartitionedSimulation::PartitionedSimulation()
-    : PartitionedSimulation(Options{partitions_from_env(), std::nullopt,
-                                    SimTime::max()}) {}
+    : PartitionedSimulation(Options{partitions_from_env(),
+                                    SchedulerKind::kWheel, SimTime::max()}) {}
 
 PartitionedSimulation::PartitionedSimulation(Options options)
     : lookahead_(options.lookahead) {
@@ -40,15 +40,10 @@ PartitionedSimulation::PartitionedSimulation(Options options)
     throw std::invalid_argument(
         "PartitionedSimulation: lookahead must be >= 0");
   }
-  // Resolve the backend once (reads OFFLOAD_SIM_SCHED when unset) so all
-  // partitions agree even if the environment changes mid-construction.
-  SchedulerKind kind =
-      options.scheduler.has_value() ? *options.scheduler
-                                    : Simulation().scheduler();
   const auto k = static_cast<std::size_t>(options.partitions);
   parts_.reserve(k);
   for (std::size_t p = 0; p < k; ++p) {
-    parts_.push_back(std::make_unique<Partition>(kind));
+    parts_.push_back(std::make_unique<Partition>(options.scheduler));
   }
   mail_.reserve(k * k);
   for (std::size_t i = 0; i < k * k; ++i) {

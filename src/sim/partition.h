@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/sim/simulation.h"
@@ -58,15 +57,15 @@ class PartitionedSimulation {
   struct Options {
     /// Worker partitions. 1 (default) runs inline on the caller.
     int partitions = 1;
-    /// Engine backend per partition; unset reads OFFLOAD_SIM_SCHED.
-    std::optional<SchedulerKind> scheduler;
+    /// Engine backend per partition (the heap is the tests' reference).
+    SchedulerKind scheduler = SchedulerKind::kWheel;
     /// Conservative lookahead: the minimum cross-partition delivery
     /// latency. SimTime::max() forbids post() entirely.
     SimTime lookahead = SimTime::max();
   };
 
-  /// Partition count from OFFLOAD_SIM_PARTITIONS (default 1), backend
-  /// from OFFLOAD_SIM_SCHED, lookahead = SimTime::max().
+  /// Partition count from OFFLOAD_SIM_PARTITIONS (default 1), the wheel
+  /// backend, lookahead = SimTime::max().
   PartitionedSimulation();
   explicit PartitionedSimulation(Options options);
   PartitionedSimulation(const PartitionedSimulation&) = delete;

@@ -1,25 +1,9 @@
 #include "src/sim/simulation.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 namespace offload::sim {
-
-namespace {
-
-SchedulerKind scheduler_from_env() {
-  const char* env = std::getenv("OFFLOAD_SIM_SCHED");
-  if (env == nullptr || *env == '\0') return SchedulerKind::kWheel;
-  std::string_view v(env);
-  if (v == "wheel") return SchedulerKind::kWheel;
-  if (v == "heap") return SchedulerKind::kHeap;
-  throw std::invalid_argument(
-      "OFFLOAD_SIM_SCHED must be 'heap' or 'wheel'");
-}
-
-}  // namespace
 
 std::string SimTime::str() const {
   char buf[64];
@@ -33,8 +17,6 @@ std::string SimTime::str() const {
   }
   return buf;
 }
-
-Simulation::Simulation() : Simulation(scheduler_from_env()) {}
 
 Simulation::Simulation(SchedulerKind kind) : kind_(kind) {}
 

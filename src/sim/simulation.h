@@ -14,11 +14,12 @@
 //     asserts both backends produce identical firing orders over
 //     randomized schedule/cancel workloads.
 //
-// Select with OFFLOAD_SIM_SCHED=heap|wheel or the explicit constructor.
-// Either way cancellation destroys the event's closure eagerly (captured
-// state is released at cancel time, not when the entry happens to drain)
-// and firing moves the closure out of the arena slot — no per-event heap
-// allocation for captures up to util::UniqueFunction::kInlineBytes.
+// The wheel is the default; tests pass SchedulerKind::kHeap to the
+// constructor to run the reference. Either way cancellation destroys the
+// event's closure eagerly (captured state is released at cancel time, not
+// when the entry happens to drain) and firing moves the closure out of the
+// arena slot — no per-event heap allocation for captures up to
+// util::UniqueFunction::kInlineBytes.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +57,7 @@ class EventHandle {
 /// continuations; `run()` drains the queue in timestamp order.
 class Simulation {
  public:
-  /// Backend from OFFLOAD_SIM_SCHED ("heap" | "wheel"; default wheel).
-  /// Throws std::invalid_argument on an unrecognized value.
-  Simulation();
-  explicit Simulation(SchedulerKind kind);
+  explicit Simulation(SchedulerKind kind = SchedulerKind::kWheel);
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 

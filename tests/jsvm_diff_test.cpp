@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "src/jsvm/snapshot.h"
 
 namespace offload::jsvm {
@@ -267,6 +269,60 @@ TEST(DiffSnapshot, NoChangesProducesNearEmptyDiff) {
   EXPECT_EQ(diff.stats.globals, 0u);
   EXPECT_LT(diff.stats.total_bytes, 40u);
   pair.expect_in_sync();
+}
+
+TEST(DiffSnapshot, CanvasContentHonoursBase64) {
+  Pair pair(
+      "var c = document.createElement('canvas'); "
+      "document.body.appendChild(c); "
+      "c.setImageData(Float32Array([0.5, 0]));");
+  pair.client.eval_program("c.getImageData()[1] = 0.1;");
+  DiffSnapshotResult diff = capture_snapshot_diff(
+      pair.client, pair.baseline, {.base64_typed_arrays = true});
+  EXPECT_FALSE(diff.full_fallback);
+  EXPECT_NE(diff.program.find("setImageData(__f32b64("), std::string::npos);
+  EXPECT_EQ(diff.program.find("__f32(["), std::string::npos);
+  pair.server->eval_program(diff.program, "diff");
+  const auto& sent = pair.client.document().body()->children.at(0);
+  const auto& got = pair.server->document().body()->children.at(0);
+  ASSERT_TRUE(got->canvas_data);
+  ASSERT_EQ(got->canvas_data->data.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got->canvas_data->data[i]),
+              std::bit_cast<std::uint32_t>(sent->canvas_data->data[i]));
+  }
+  pair.expect_in_sync();
+}
+
+TEST(DiffSnapshot, CanvasArraySharedWithGlobalStaysOneArray) {
+  Pair pair(
+      "var c = document.createElement('canvas'); "
+      "document.body.appendChild(c); "
+      "c.setImageData(Float32Array([0, 0])); var px = c.getImageData();");
+  pair.client.eval_program("px[0] = 5;");
+  DiffSnapshotResult diff = pair.sync();
+  EXPECT_FALSE(diff.full_fallback);
+  EXPECT_EQ(diff.stats.typed_arrays, 1u);
+  EXPECT_NE(diff.program.find("setImageData(__t0)"), std::string::npos);
+  pair.expect_in_sync();
+  // A later write through the global must reach the canvas on both sides.
+  pair.client.eval_program("px[1] = 7;");
+  pair.server->eval_program("px[1] = 7;");
+  EXPECT_EQ(pair.client.eval_program("c.getImageData()[1];"), Value(7.0));
+  EXPECT_EQ(pair.server->eval_program("c.getImageData()[1];"), Value(7.0));
+}
+
+TEST(DiffSnapshot, DeepChainAsChangedGlobal) {
+  Pair pair("var a = 0;");
+  pair.client.eval_program(
+      "a = {}; for (var i = 0; i < 100000; i++) { a = {n: a}; }");
+  DiffSnapshotResult diff = capture_snapshot_diff(pair.client, pair.baseline);
+  EXPECT_FALSE(diff.full_fallback);
+  EXPECT_EQ(diff.stats.objects, 100001u);
+  // Releasing a value is still recursive: unlink the chain before the
+  // interpreter is destroyed.
+  pair.client.eval_program(
+      "while (a.n) { var next = a.n; a.n = null; a = next; }");
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "src/jsvm/parser.h"
 #include "src/jsvm/snapshot.h"
 #include "src/jsvm/snapshot_diff.h"
+#include "src/util/hash.h"
 #include "src/util/rng.h"
 
 namespace offload::jsvm {
@@ -419,6 +420,88 @@ TEST_P(DiffProperty, RandomMutationThenDiffConverges) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffProperty,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+// ------------------------------------------------ pinned full-snapshot text
+
+/// A fixed corpus of realms whose full-snapshot text is pinned by FNV-1a
+/// hash, so a writer refactor cannot change snapshot bytes unnoticed. The
+/// constants were recorded with the recursive writer the iterative walk
+/// replaced.
+std::vector<std::pair<std::string, std::string>> pinned_corpus() {
+  std::vector<std::pair<std::string, std::string>> corpus;
+  auto capture = [&](const std::string& name, const std::string& setup,
+                     SnapshotOptions options = {}) {
+    Interpreter interp;
+    interp.eval_program(setup);
+    corpus.emplace_back(name, capture_snapshot(interp, options).program);
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Interpreter interp;
+    GraphGenerator gen(interp, seed);
+    gen.build(5);
+    corpus.emplace_back("graph" + std::to_string(seed),
+                        capture_snapshot(interp).program);
+  }
+  const std::string dom =
+      "var hits = 0; "
+      "var root = document.createElement('div'); root.id = 'root'; "
+      "root.setAttribute('class', 'box'); document.body.appendChild(root); "
+      "var label = document.createElement('span'); "
+      "label.textContent = 'waiting'; root.appendChild(label); "
+      "var canvas = document.createElement('canvas'); "
+      "canvas.setImageData(Float32Array([0.5, -1.25, 3])); "
+      "root.appendChild(canvas); "
+      "var loose = document.createElement('p'); loose.textContent = 'away'; "
+      "loose.appendChild(document.createElement('b')); "
+      "root.addEventListener('go', function(e) { "
+      "  hits = hits + e.detail.n; label.textContent = 'hit'; }); "
+      "loose.addEventListener('tap', function(e) { hits = hits - 1; }); "
+      "root.dispatchEvent('go', {n: 2, from: loose});";
+  capture("dom", dom);
+  capture("dom_no_events", dom, {.include_events = false});
+  const std::string typed =
+      "var t = Float32Array([1.5, -0, 1e-7, 3.4e38, 1/0, -1/0]); "
+      "var u = Float32Array(4); "
+      "var holder = {a: t, b: [t, u], c: Float32Array([])}; "
+      "var nums = [0/0, 1/0, -1/0, -0, 1e300, 0.1];";
+  capture("typed", typed);
+  capture("typed_base64", typed, {.base64_typed_arrays = true});
+  capture("closures",
+          "function make(a) { var count = 0; "
+          "  function inc(d) { count = count + d; "
+          "    return function() { return count * a; }; } "
+          "  return {inc: inc, peek: function() { return count; }}; } "
+          "var m1 = make(2); var view = m1.inc(3); var m2 = make(5); "
+          "var chain = (function() { var x = 1; return function() { "
+          "  var y = x + 1; return function() { return x + y; }; }; })()();");
+  return corpus;
+}
+
+TEST(SnapshotPin, FullSnapshotTextIsByteStable) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"graph1", 0x6d15cd2e68840c5aULL},
+      {"graph2", 0xb6c17ec05d0931a5ULL},
+      {"graph3", 0xac1d9cbaa67aed59ULL},
+      {"graph4", 0x3aee761c7e882833ULL},
+      {"graph5", 0x01d2bc2c645837eaULL},
+      {"graph6", 0x4b2739747b866fbbULL},
+      {"graph7", 0x4d035514ebcebad1ULL},
+      {"graph8", 0xad40356675837073ULL},
+      {"dom", 0x675ff86f57306cf1ULL},
+      {"dom_no_events", 0xc33066bb7dc1436aULL},
+      {"typed", 0x5264e8b7bd76d616ULL},
+      {"typed_base64", 0xd6b315328e1a61a3ULL},
+      {"closures", 0xd73c1fb87b83c9fdULL},
+  };
+  const auto corpus = pinned_corpus();
+  EXPECT_EQ(corpus.size(), expected.size());
+  for (const auto& [name, program] : corpus) {
+    auto it = expected.find(name);
+    ASSERT_NE(it, expected.end()) << name;
+    EXPECT_EQ(util::fnv1a(program), it->second)
+        << name << ": 0x" << std::hex << util::fnv1a(program);
+  }
+}
 
 // --------------------------------------------------- number-list fast path
 

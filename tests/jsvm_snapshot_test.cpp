@@ -333,5 +333,37 @@ TEST(Snapshot, FeatureDataDominatesLargeSnapshots) {
   EXPECT_LT(snap.stats.non_feature_bytes(), 2000u);
 }
 
+TEST(Snapshot, EnvReachedThroughItsParentIsCapturedOnce) {
+  // `g` closes over mk's scope; walking that scope's parent (outer's
+  // scope) reaches mk's scope again through `keep` before it has an id.
+  Interpreter a;
+  a.eval_program(
+      "function outer(){ var keep; function mk(){ var y = 1; "
+      "return [function(){ return y; }, function(){ return y + 1; }]; } "
+      "var pair = mk(); keep = pair[1]; g = pair[0]; "
+      "return function(){ return keep; }; } "
+      "var g = 0; var f = outer();");
+  SnapshotResult snap = capture_snapshot(a);
+  EXPECT_EQ(snap.stats.environments, 2u);
+  Interpreter b;
+  restore_snapshot(b, snap.program);
+  EXPECT_EQ(capture_snapshot(b).program, snap.program);
+  EXPECT_EQ(b.eval_program("g();"), Value(1.0));
+  EXPECT_EQ(b.eval_program("f()();"), Value(2.0));
+}
+
+TEST(Snapshot, DeepObjectChainCaptures) {
+  // Discovery keeps its own stack, so heap depth cannot overflow the
+  // C++ stack.
+  Interpreter a;
+  a.eval_program(
+      "var a = {}; for (var i = 0; i < 100000; i++) { a = {n: a}; }");
+  SnapshotResult snap = capture_snapshot(a);
+  EXPECT_EQ(snap.stats.objects, 100001u);
+  // Releasing a value is still recursive: unlink the chain before the
+  // interpreter is destroyed.
+  a.eval_program("while (a.n) { var next = a.n; a.n = null; a = next; }");
+}
+
 }  // namespace
 }  // namespace offload::jsvm

@@ -489,6 +489,7 @@ TEST(SimPartition, PartitionsFromEnvValidation) {
   PartitionedSimulation psim;
   EXPECT_GE(psim.partitions(), 1);
   EXPECT_EQ(psim.lookahead(), SimTime::max());
+  EXPECT_EQ(psim.partition(0).scheduler(), SchedulerKind::kWheel);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 // the slab arena, UniqueFunction storage, timing-wheel cascading/overflow,
 // and the heap-vs-wheel differential that pins both backends to identical
 // firing orders over randomized schedule/cancel workloads.
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -326,15 +325,10 @@ TEST(SimulationArena, CancelAfterGenerationWrapIsStale) {
   EXPECT_EQ(arena.resolve(index, node->gen), nullptr);
 }
 
-TEST(SimulationEnv, SchedulerKindFromEnvironment) {
-  ASSERT_EQ(setenv("OFFLOAD_SIM_SCHED", "heap", 1), 0);
-  EXPECT_EQ(Simulation().scheduler(), SchedulerKind::kHeap);
-  ASSERT_EQ(setenv("OFFLOAD_SIM_SCHED", "wheel", 1), 0);
+TEST(SimulationDefaults, WheelIsTheDefaultBackend) {
+  // The heap is reachable only through the explicit constructor.
   EXPECT_EQ(Simulation().scheduler(), SchedulerKind::kWheel);
-  ASSERT_EQ(setenv("OFFLOAD_SIM_SCHED", "bogus", 1), 0);
-  EXPECT_THROW(Simulation(), std::invalid_argument);
-  ASSERT_EQ(unsetenv("OFFLOAD_SIM_SCHED"), 0);
-  EXPECT_EQ(Simulation().scheduler(), SchedulerKind::kWheel);
+  EXPECT_EQ(Simulation(SchedulerKind::kHeap).scheduler(), SchedulerKind::kHeap);
 }
 
 // ---------------------------------------------------------------------------
